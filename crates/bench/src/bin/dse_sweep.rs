@@ -8,7 +8,8 @@
 //! twice: once through the explorer (shared two-level energy cache,
 //! thread-pool fan-out) and once naively (fresh evaluator per design, no
 //! cache, sequential), asserts the Pareto fronts are bit-identical, and
-//! records the measured speedup in `results/BENCH_dse.json`.
+//! records the measured speedup in `results/BENCH_dse.json` (merged: a
+//! quick run never drops the full baseline's entries).
 //!
 //! Usage: `dse_sweep [fig2|quick] [--no-naive]`
 //!
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cimloop_bench::{
-    fig2_design_space, fig2_workload, fmt, naive_system_front, results_dir, write_bench_json,
+    fig2_design_space, fig2_workload, fmt, merge_bench_json, naive_system_front, results_dir,
     ExperimentTable, FIG2_SCENARIO,
 };
 use cimloop_core::EnergyTableCache;
@@ -132,7 +133,7 @@ fn main() {
         entries.push(("dse_sweep_naive_sequential", t_naive));
         metrics.push(("dse_speedup_naive_over_explorer", speedup));
     }
-    write_bench_json(
+    merge_bench_json(
         &results_dir().join("BENCH_dse.json"),
         quick,
         &entries,

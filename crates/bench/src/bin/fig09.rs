@@ -2,9 +2,9 @@
 //! inputs (showing how each component's share scales with input bits) and
 //! Macro D.
 //!
-//! Category mapping (documented in EXPERIMENTS.md): our `cell` energy for
-//! Macro C is folded into "Control" (the reference groups array access
-//! under control/misc), and the buffer is excluded (system-level).
+//! Category mapping: our `cell` energy for Macro C is folded into
+//! "Control" (the reference groups array access under control/misc), and
+//! the buffer is excluded (system-level).
 
 #![forbid(unsafe_code)]
 

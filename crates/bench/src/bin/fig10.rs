@@ -1,8 +1,8 @@
 //! Fig 10: validating modeled area breakdowns for Macros A/B/C/D.
 //!
-//! Category mapping (see EXPERIMENTS.md): reference category names come
-//! from each publication; model components are grouped onto the closest
-//! reference category.
+//! Category mapping: reference category names come from each
+//! publication; model components are grouped onto the closest reference
+//! category.
 
 #![forbid(unsafe_code)]
 

@@ -6,10 +6,10 @@
 //! per-mapping rate rises by orders of magnitude with more mappings, and
 //! parallelizes across cores.
 //!
-//! The measured rates go to stdout only; `results/table02.tsv` holds the
-//! *deterministic* quantities of the same runs (seeded event counts,
-//! energies, cache/table counts), which the `golden-results` CI job
-//! enforces bit-identically.
+//! The measured rates go to stdout only. The deterministic record of the
+//! same runs (seeded event counts, energies, table counts) is
+//! `results/table02.tsv`, written by
+//! `cimloop evaluate examples/specs/table02.yaml`.
 
 #![forbid(unsafe_code)]
 
@@ -36,23 +36,15 @@ fn main() {
         "modeling speed, (mappings x layers)/second (ResNet18)",
         &["model", "cores", "1 mapping", "5000 mappings"],
     );
-    // The deterministic golden: what was computed, not how fast.
-    let mut golden = ExperimentTable::new(
-        "table02",
-        "deterministic work/energy record of the Table II speed runs",
-        &["quantity", "value"],
-    );
 
     // --- Value-exact baseline (full fidelity), one core, one mapping. ---
     // Simulate the three final layers at full fidelity and report the rate.
     let exact_layers: Vec<_> = net.layers().iter().rev().take(3).collect();
     let start = Instant::now();
     let mut events = 0u64;
-    let mut exact_energy = 0.0f64;
     for layer in &exact_layers {
         let report = simulate_layer(&m, layer, &ExactConfig::full()).expect("exact");
         events += report.cell_events();
-        exact_energy += report.energy_total();
     }
     let exact_elapsed = start.elapsed().as_secs_f64();
     let exact_rate = exact_layers.len() as f64 / exact_elapsed;
@@ -68,36 +60,22 @@ fn main() {
         fmt(exact_rate),
         "-".to_owned(),
     ]);
-    golden.row(vec![
-        "value-exact cell events (3 layers, seed 0xC1A0, 1 thread)".to_owned(),
-        events.to_string(),
-    ]);
-    golden.row(vec![
-        "value-exact energy (J)".to_owned(),
-        format!("{exact_energy:.6e}"),
-    ]);
 
     // --- Statistical model, 1 core. ---
     let eval_layers: Vec<_> = net.layers().iter().collect();
-    let mut statistical_energy = 0.0f64;
     let rate_1core_1map = {
         let start = Instant::now();
         let mut n = 0u64;
         for layer in &eval_layers {
             let report = evaluator.evaluate_layer(layer, &rep).expect("eval");
             assert!(report.energy_total() > 0.0);
-            statistical_energy += report.energy_total();
             n += 1;
         }
         n as f64 / start.elapsed().as_secs_f64()
     };
-    golden.row(vec![
-        "statistical energy, 21 ResNet18 layers (J)".to_owned(),
-        format!("{statistical_energy:.6e}"),
-    ]);
 
     let mappings_per_layer = 5000usize;
-    let (rate_1core_many, streamed_candidates) = {
+    let rate_1core_many = {
         let start = Instant::now();
         let mut evaluated = 0u64;
         for layer in eval_layers.iter().take(4) {
@@ -122,17 +100,13 @@ fn main() {
                 )
                 .expect("mappings");
         }
-        (evaluated as f64 / start.elapsed().as_secs_f64(), evaluated)
+        evaluated as f64 / start.elapsed().as_secs_f64()
     };
     table.row(vec![
         "CiMLoop statistical".to_owned(),
         "1".to_owned(),
         fmt(rate_1core_1map),
         fmt(rate_1core_many),
-    ]);
-    golden.row(vec![
-        "mapping-search candidates streamed (4 layers, limit 5000)".to_owned(),
-        streamed_candidates.to_string(),
     ]);
 
     // --- Statistical model, all cores (parallel over mappings). ---
@@ -196,21 +170,6 @@ fn main() {
             engine.cache().misses(),
             engine.cache().hits()
         );
-        golden.row(vec![
-            "engine sweep layers (ViT unrolled)".to_owned(),
-            unrolled.layers().len().to_string(),
-        ]);
-        // Distinct-signature count is scheduling-independent (racing
-        // misses recompute a table but never add a signature), unlike the
-        // raw hit/miss split.
-        golden.row(vec![
-            "engine distinct energy tables".to_owned(),
-            engine.cache().len().to_string(),
-        ]);
-        golden.row(vec![
-            "engine sweep energy (J)".to_owned(),
-            format!("{:.6e}", report.energy_total()),
-        ]);
         rate
     };
     table.row(vec![
@@ -221,7 +180,6 @@ fn main() {
     ]);
     // Measured rates: stdout only (never a golden).
     table.finish_stdout();
-    golden.finish();
 
     println!(
         "  paper (Xeon Gold 6444Y): NeuroSim 0.07; CiMLoop 0.28/83 (1 core), 2.25/1076 (16 cores)"

@@ -28,7 +28,7 @@ pub fn frozen(m: &ArrayMacro) -> ArrayMacro {
 }
 
 /// A simple experiment table: prints aligned columns to stdout and writes a
-/// TSV copy into `results/` so EXPERIMENTS.md can reference stable outputs.
+/// TSV copy into `results/`.
 #[derive(Debug)]
 pub struct ExperimentTable {
     name: String,
@@ -191,65 +191,14 @@ pub fn diff_tsv(old: &str, new: &str) -> String {
 /// system around the macro; weights re-fetched from DRAM).
 pub const FIG2_SCENARIO: StorageScenario = StorageScenario::AllTensorsFromDram;
 
-/// The cell-variation sigmas of the `fig09_noise` accuracy experiment
-/// (0 = ideal programming; 0.20 = poorly-programmed NVM).
+/// The cell-variation sigmas of the `fig_mc_accuracy` validation grid
+/// (0 = ideal programming; 0.20 = poorly-programmed NVM) — the same
+/// levels `examples/specs/fig09_noise.yaml` sweeps.
 pub const NOISE_VARIATIONS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
-/// The ADC resolutions of the `fig09_noise` accuracy experiment.
-pub const NOISE_ADC_BITS: [u32; 5] = [12, 10, 8, 6, 4];
-
-/// One cell of the `fig09_noise` accuracy grid: the expected output SNR
-/// and effective bit-count of one macro configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseAccuracyRow {
-    /// Relative cell programming-variation sigma.
-    pub variation: f64,
-    /// Output ADC resolution, bits.
-    pub adc_bits: u32,
-    /// Expected output SNR, dB.
-    pub snr_db: f64,
-    /// Effective number of bits.
-    pub enob: f64,
-}
-
-/// The `fig09_noise` experiment grid: accuracy (expected output SNR /
-/// ENOB) versus ADC resolution under several cell-variation levels, on
-/// the 256×256 ReRAM base macro driving a matched matrix-vector
-/// workload. Deterministic — the statistical noise model never samples —
-/// so the resulting TSV is a golden. Shared by the experiment binary and
-/// the trend-assertion test so both always describe the same experiment.
-pub fn noise_accuracy_rows() -> Vec<NoiseAccuracyRow> {
-    let cache = EnergyTableCache::new();
-    let mut rows = Vec::new();
-    for &variation in &NOISE_VARIATIONS {
-        for &adc_bits in &NOISE_ADC_BITS {
-            let m = base_macro()
-                .uncalibrated()
-                .with_array(256, 256)
-                .with_adc_bits(adc_bits)
-                .with_noise(NoiseSpec::new().with_cell_variation(variation));
-            let evaluator = m.evaluator().expect("evaluator");
-            let layer = models::mvm(m.rows(), m.cols()).layers()[0].clone();
-            let report = evaluator
-                .evaluate_layer_cached(&layer, &m.representation(), &cache)
-                .expect("evaluation");
-            let noise = report
-                .noise()
-                .expect("analog readout always carries a noise report");
-            rows.push(NoiseAccuracyRow {
-                variation,
-                adc_bits,
-                snr_db: noise.snr_db,
-                enob: noise.enob,
-            });
-        }
-    }
-    rows
-}
-
 /// The ADC resolutions of the `fig_mc_accuracy` validation grid (a
-/// subset of [`NOISE_ADC_BITS`]: the MC engine resamples every cell, so
-/// the grid trades breadth for trials).
+/// subset of the `fig09_noise` spec's: the MC engine resamples every
+/// cell, so the grid trades breadth for trials).
 pub const MC_ACCURACY_ADC_BITS: [u32; 2] = [8, 6];
 
 /// Monte-Carlo trials per `fig_mc_accuracy` grid cell — enough for
@@ -445,50 +394,13 @@ pub fn explore_collect(
 
 /// Writes a `BENCH_*.json` perf artifact in the same schema the vendored
 /// criterion harness emits (`entries` with mean ns, plus derived scalar
-/// `metrics`), so experiment binaries can seed the perf trajectory without
-/// linking the bench harness. `quick` marks reduced-grid runs so they are
-/// machine-distinguishable from full baselines.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    quick: bool,
-    entries: &[(&str, f64)],
-    metrics: &[(&str, f64)],
-) {
-    let mut out = format!(
-        "{{\n  \"quick\": {},\n  \"entries\": [\n",
-        if quick { "true" } else { "false" }
-    );
-    for (i, (name, seconds)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"iters\": 1}}{}\n",
-            name,
-            seconds * 1e9,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{name}\": {value:.6}",
-            if i == 0 { "" } else { ", " }
-        ));
-    }
-    out.push_str("}\n}\n");
-    if let Err(e) = fs::write(path, out) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("  [written {}]", path.display());
-    }
-}
-
-/// [`write_bench_json`] that *merges* into an existing artifact instead
-/// of replacing it: entries and metrics are keyed by name, this run's
-/// values win on collision, and everything the existing file tracked but
-/// this run didn't re-measure survives untouched. This lets independent
-/// binaries (`dse_sweep`, `dse_scale`) share one `BENCH_dse.json`
-/// trajectory file. `quick` only marks the file quick when every
-/// contributing run was quick — a full baseline is never demoted by a
-/// later smoke run.
+/// `metrics`), *merging* into an existing file: entries and metrics are
+/// keyed by name, this run's values win on collision, and everything the
+/// existing file tracked but this run didn't re-measure survives
+/// untouched. This lets independent binaries (`dse_sweep`, `dse_scale`)
+/// share one `BENCH_dse.json` trajectory file. `quick` only marks the
+/// file quick when every contributing run was quick — a full baseline is
+/// never demoted by a later smoke run.
 pub fn merge_bench_json(
     path: &std::path::Path,
     quick: bool,
@@ -631,6 +543,48 @@ mod tests {
         assert_eq!(pct(0.123), "12.3%");
         assert!((rel_err(11.0, 10.0) - 0.1).abs() < 1e-12);
         assert_eq!(rel_err(1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn quick_merge_keeps_a_full_baseline() {
+        let path =
+            std::env::temp_dir().join(format!("cimloop_bench_merge_{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            "{\n  \"quick\": false,\n  \"entries\": [\n    \
+             {\"name\": \"dse_scale_staged\", \"mean_ns\": 5.0, \"iters\": 1},\n    \
+             {\"name\": \"dse_scale_naive\", \"mean_ns\": 7.0, \"iters\": 1}\n  ],\n  \
+             \"metrics\": {\"dse_front_size\": 34.000000}\n}\n",
+        )
+        .unwrap();
+        merge_bench_json(
+            &path,
+            true,
+            &[("dse_sweep_explorer", 2.0)],
+            &[("dse_designs", 24.0)],
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let root = cimloop_spec::json::parse(&text).unwrap();
+        assert_eq!(
+            root.get("quick").and_then(Value::raw),
+            Some("false"),
+            "{text}"
+        );
+        let names: Vec<&str> = root
+            .get("entries")
+            .and_then(Value::items)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Value::raw))
+            .collect();
+        assert_eq!(
+            names,
+            ["dse_scale_staged", "dse_scale_naive", "dse_sweep_explorer"],
+            "{text}"
+        );
+        assert!(text.contains("\"dse_front_size\": 34.000000"), "{text}");
+        assert!(text.contains("\"dse_designs\": 24.000000"), "{text}");
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //! byte what this PR's code produces with the noise subsystem compiled in
 //! but disabled — the new code path cannot perturb existing results.
 //!
-//! Two layers of defense share this job: the `golden-results` CI job
-//! *regenerates* every golden with the release binaries and diffs it
-//! against the committed file, while this test pins the committed bytes
-//! themselves (FNV-1a hash + length), so an accidental local regeneration
-//! under different code is caught by plain `cargo test` without paying
-//! for the regeneration.
+//! Two layers of defense share this job: the `golden-results`,
+//! `cli-smoke` and `accuracy-check` CI jobs *regenerate* every golden
+//! from its producer and diff it against the committed file, while this
+//! test pins the committed bytes themselves (FNV-1a hash + length), so an
+//! accidental local regeneration under different code is caught by plain
+//! `cargo test` without paying for the regeneration.
 //!
 //! If a hash mismatch is *intended* (a deliberate modeling change),
-//! regenerate the golden with its binary, update the constants here, and
-//! say why in the commit message.
+//! regenerate the golden with its producer (bench binary or spec),
+//! update the constants here, and say why in the commit message.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,27 +21,36 @@ use std::path::PathBuf;
 /// `network_sweep.tsv` pins the *tiny* model's deterministic record (the
 /// variant CI regenerates); running `network_sweep vit` locally
 /// overwrites it with the vit row — `git checkout -- results/` restores
-/// it, same as the BENCH_*.json quick-mode gotcha. `scenario_custom.tsv`
-/// is produced by the `cimloop` CLI from
-/// `examples/specs/custom_macro.yaml`, `dse_grid.tsv` by
-/// `cimloop dse examples/specs/dse_grid.yaml` (the shard/merge smoke's
-/// single-process reference).
-const GOLDENS: [(&str, u64, usize); 15] = [
+/// it, same as the BENCH_*.json quick-mode gotcha. Seven goldens come
+/// from the `cimloop` CLI, not a bench bin: `fig02b`, `fig12`,
+/// `fig09_noise`, `table02` and `dse_accuracy` from the spec of the same
+/// name under `examples/specs/`, `scenario_custom.tsv` from
+/// `custom_macro.yaml`, and `dse_grid.tsv` from `dse_grid.yaml` (also the
+/// shard/merge smoke's single-process reference).
+const GOLDENS: [(&str, u64, usize); 23] = [
     ("dse_accuracy.tsv", 0xfe46868d9c67f4fc, 227),
     ("dse_grid.tsv", 0xee3927f97530d0a3, 721),
     ("fig02a.tsv", 0x95c47b92e420049d, 260),
     ("fig02b.tsv", 0x410b189704181cef, 224),
+    ("fig04.tsv", 0x8e78e4a8747f5948, 232),
+    ("fig04_per_layer.tsv", 0x6977cfbb668f3017, 368),
     ("fig06.tsv", 0x5f7a100f1ba1278c, 695),
     ("fig07.tsv", 0x748e231698aed6ee, 427),
     ("fig08.tsv", 0xcfa5502dc4d1f92f, 338),
+    ("fig09.tsv", 0xb019b9a051c8e30a, 502),
     ("fig09_noise.tsv", 0xa8673e0e8db5a8f1, 440),
     ("fig10.tsv", 0x31e0921dfe803ecd, 491),
     ("fig11.tsv", 0xeec6f95b838a15bb, 382),
     ("fig12.tsv", 0x0ab784e487bbb91c, 841),
+    ("fig13.tsv", 0x523470f59bfe3b37, 285),
+    ("fig14.tsv", 0x1b8f86b915faef98, 1108),
+    ("fig15.tsv", 0x6fa9b067672ec7e4, 523),
+    ("fig16.tsv", 0xc24650102b98b22e, 771),
     ("fig_mc_accuracy.tsv", 0x228b919f8c7108ef, 350),
     ("network_sweep.tsv", 0x11e5fa94ca0ef252, 88),
     ("scenario_custom.tsv", 0x5a7cbbe24c63efdd, 195),
     ("table02.tsv", 0x43f49c10dce83097, 343),
+    ("table03.tsv", 0x491da45eba33e8f6, 235),
 ];
 
 /// FNV-1a, 64-bit: stable across platforms and Rust versions (unlike

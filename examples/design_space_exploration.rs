@@ -64,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(the paper's Fig 2b: array size and DAC resolution must be chosen together)");
 
     // The Fig 2b conclusion, asserted as this reproduction establishes it
-    // (see the fig02b experiment's PARTIAL verdict): the optimum lives at
-    // the largest array — optimizing circuits alone, at the Fig 2a
-    // macro-optimal 128×128 array, cannot reach it — and the paper's
-    // co-optimized point (512×512, 1-bit DAC) ties the grid optimum
-    // within 2% and sits on the Pareto front. In this DRAM-dominated
-    // system the circuits axis is muted, so the architecture axis is what
-    // must move with it.
+    // (see results/fig02b.tsv, where co-optimizing ties optimizing the
+    // architecture alone): the optimum lives at the largest array —
+    // optimizing circuits alone, at the Fig 2a macro-optimal 128×128
+    // array, cannot reach it — and the paper's co-optimized point
+    // (512×512, 1-bit DAC) ties the grid optimum within 2% and sits on
+    // the Pareto front. In this DRAM-dominated system the circuits axis
+    // is muted, so the architecture axis is what must move with it.
     let pj_of = |r: u64, d: u32| {
         rows.iter()
             .find(|&&(_, size, dac_bits, ..)| size == r && dac_bits == d)
