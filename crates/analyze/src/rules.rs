@@ -182,7 +182,7 @@ fn test_attr_end(code: &str) -> Option<usize> {
 }
 
 /// Marks every line inside a test-gated region (`#[cfg(test)]`,
-/// `#[test]`, and tolerant variants — see [`is_test_attr`]). A region
+/// `#[test]`, and tolerant variants — see `is_test_attr`). A region
 /// spans from the attribute to the matching close brace of the item it
 /// annotates (or to the first `;` at depth 0 for brace-less items).
 pub fn test_mask(lines: &[SourceLine]) -> Vec<bool> {

@@ -400,7 +400,9 @@ pub fn explore_collect(
 /// untouched. This lets independent binaries (`dse_sweep`, `dse_scale`)
 /// share one `BENCH_dse.json` trajectory file. `quick` only marks the
 /// file quick when every contributing run was quick — a full baseline is
-/// never demoted by a later smoke run.
+/// never demoted by a later smoke run, and a quick run merged into a full
+/// file only adds the names it lacks: quick timings never replace full
+/// ones.
 pub fn merge_bench_json(
     path: &std::path::Path,
     quick: bool,
@@ -410,10 +412,13 @@ pub fn merge_bench_json(
     let mut merged_entries: Vec<(String, f64)> = Vec::new();
     let mut merged_metrics: Vec<(String, f64)> = Vec::new();
     let mut merged_quick = quick;
+    let mut keep_existing = false;
     if let Ok(text) = fs::read_to_string(path) {
         match cimloop_spec::json::parse(&text) {
             Ok(root) => {
-                merged_quick = quick && root.get("quick").and_then(Value::raw) == Some("true");
+                let file_quick = root.get("quick").and_then(Value::raw) == Some("true");
+                merged_quick = quick && file_quick;
+                keep_existing = quick && !file_quick;
                 for item in root
                     .get("entries")
                     .and_then(Value::items)
@@ -446,7 +451,8 @@ pub fn merge_bench_json(
         .iter_mut()
         .find(|(n, _)| n == name)
     {
-        Some(slot) => slot.1 = value,
+        Some(slot) if !keep_existing => slot.1 = value,
+        Some(_) => {}
         None => list.push((name.to_owned(), value)),
     };
     for (name, seconds) in entries {
@@ -585,6 +591,61 @@ mod tests {
         );
         assert!(text.contains("\"dse_front_size\": 34.000000"), "{text}");
         assert!(text.contains("\"dse_designs\": 24.000000"), "{text}");
+    }
+
+    #[test]
+    fn quick_merge_never_replaces_full_timings() {
+        let path = std::env::temp_dir().join(format!(
+            "cimloop_bench_merge_quick_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            "{\n  \"quick\": false,\n  \"entries\": [\n    \
+             {\"name\": \"dse_sweep_explorer\", \"mean_ns\": 5.0, \"iters\": 1}\n  ],\n  \
+             \"metrics\": {\"dse_designs\": 24.000000}\n}\n",
+        )
+        .unwrap();
+        let read = |path: &std::path::Path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let root = cimloop_spec::json::parse(&text).unwrap();
+            let entries: Vec<(String, String)> = root
+                .get("entries")
+                .and_then(Value::items)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|e| {
+                    let name = e.get("name").and_then(Value::raw)?;
+                    let ns = e.get("mean_ns").and_then(Value::raw)?;
+                    Some((name.to_owned(), ns.to_owned()))
+                })
+                .collect();
+            (text, entries)
+        };
+        // A quick run re-measuring a full entry only adds what is new.
+        merge_bench_json(
+            &path,
+            true,
+            &[("dse_sweep_explorer", 2.0), ("dse_sweep_quick_only", 3.0)],
+            &[("dse_designs", 6.0), ("dse_speedup", 4.0)],
+        );
+        let (text, entries) = read(&path);
+        assert_eq!(
+            entries,
+            [
+                ("dse_sweep_explorer".to_owned(), "5.0".to_owned()),
+                ("dse_sweep_quick_only".to_owned(), "3000000000.0".to_owned()),
+            ],
+            "{text}"
+        );
+        assert!(text.contains("\"quick\": false"), "{text}");
+        assert!(text.contains("\"dse_designs\": 24.000000"), "{text}");
+        assert!(text.contains("\"dse_speedup\": 4.000000"), "{text}");
+        // A full run still replaces on collision.
+        merge_bench_json(&path, false, &[("dse_sweep_explorer", 1.0)], &[]);
+        let (text, entries) = read(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(entries[0].1, "1000000000.0", "{text}");
     }
 
     #[test]

@@ -11,6 +11,59 @@ const MERGE_EPS: f64 = 1e-12;
 /// support cap, so model fidelity is unchanged.
 const MAX_PAIRWISE_SIDE: usize = 512;
 
+/// Pair budget of [`Pmf::convolve`] / [`Pmf::product`]: `MAX_PAIRWISE_SIDE²`.
+const PAIRWISE_BUDGET: usize = MAX_PAIRWISE_SIDE * MAX_PAIRWISE_SIDE;
+
+/// Rejects a `(value, weight)` pair that [`Pmf::from_weights`] must not
+/// accept: a non-finite value, or a non-finite or negative weight.
+fn check_pair(v: f64, w: f64) -> Result<(), StatsError> {
+    if !v.is_finite() {
+        return Err(StatsError::InvalidValue { value: v });
+    }
+    if !w.is_finite() || w < 0.0 {
+        return Err(StatsError::InvalidWeight { weight: w });
+    }
+    Ok(())
+}
+
+/// Builds a [`Pmf`] from pairs pushed in ascending value order: each weight
+/// is normalized by `total`, and a value within merge tolerance of the last
+/// kept value folds its mass into it.
+struct SortedMerge {
+    total: f64,
+    values: Vec<f64>,
+    probs: Vec<f64>,
+}
+
+impl SortedMerge {
+    fn new(total: f64, capacity: usize) -> Self {
+        SortedMerge {
+            total,
+            values: Vec::with_capacity(capacity),
+            probs: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn push(&mut self, v: f64, w: f64) {
+        match self.values.last() {
+            Some(&last) if (v - last).abs() <= MERGE_EPS.max(last.abs() * MERGE_EPS) => {
+                *self.probs.last_mut().expect("probs parallel to values") += w / self.total;
+            }
+            _ => {
+                self.values.push(v);
+                self.probs.push(w / self.total);
+            }
+        }
+    }
+
+    fn finish(self) -> Pmf {
+        Pmf {
+            values: self.values,
+            probs: self.probs,
+        }
+    }
+}
+
 /// A discrete probability distribution over `f64` values.
 ///
 /// The support is kept sorted by value, with duplicate values merged and
@@ -61,32 +114,18 @@ impl Pmf {
             return Err(StatsError::EmptySupport);
         }
         for &(v, w) in &pairs {
-            if !v.is_finite() {
-                return Err(StatsError::InvalidValue { value: v });
-            }
-            if !w.is_finite() || w < 0.0 {
-                return Err(StatsError::InvalidWeight { weight: w });
-            }
+            check_pair(v, w)?;
         }
         let total: f64 = pairs.iter().map(|&(_, w)| w).sum();
         if total <= 0.0 {
             return Err(StatsError::ZeroMass);
         }
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut values: Vec<f64> = Vec::with_capacity(pairs.len());
-        let mut probs: Vec<f64> = Vec::with_capacity(pairs.len());
+        let mut merge = SortedMerge::new(total, pairs.len());
         for (v, w) in pairs {
-            match values.last() {
-                Some(&last) if (v - last).abs() <= MERGE_EPS.max(last.abs() * MERGE_EPS) => {
-                    *probs.last_mut().expect("probs parallel to values") += w / total;
-                }
-                _ => {
-                    values.push(v);
-                    probs.push(w / total);
-                }
-            }
+            merge.push(v, w);
         }
-        Ok(Pmf { values, probs })
+        Ok(merge.finish())
     }
 
     /// Creates a distribution concentrated at a single value.
@@ -226,17 +265,16 @@ impl Pmf {
     /// mean exactly, so means of sums and of independent products are
     /// unaffected.
     fn pairwise(&self, other: &Pmf, mut op: impl FnMut(f64, f64) -> f64) -> Pmf {
-        const BUDGET: usize = MAX_PAIRWISE_SIDE * MAX_PAIRWISE_SIDE;
         let capped_a;
         let capped_b;
-        let (a, b) = if self.len().saturating_mul(other.len()) > BUDGET {
+        let (a, b) = if self.len().saturating_mul(other.len()) > PAIRWISE_BUDGET {
             // Coarsen each side only as far as the budget demands: against
-            // a small partner, a large operand keeps `BUDGET / partner`
+            // a small partner, a large operand keeps `PAIRWISE_BUDGET / partner`
             // points (never fewer than MAX_PAIRWISE_SIDE), so asymmetric
             // cases lose no more precision than the memory cap requires.
-            let cap_a = (BUDGET / other.len().max(1)).max(MAX_PAIRWISE_SIDE);
+            let cap_a = (PAIRWISE_BUDGET / other.len().max(1)).max(MAX_PAIRWISE_SIDE);
             capped_a = self.coarsen(cap_a);
-            let cap_b = (BUDGET / capped_a.len().max(1)).max(MAX_PAIRWISE_SIDE);
+            let cap_b = (PAIRWISE_BUDGET / capped_a.len().max(1)).max(MAX_PAIRWISE_SIDE);
             capped_b = other.coarsen(cap_b);
             (&capped_a, &capped_b)
         } else {
@@ -262,6 +300,94 @@ impl Pmf {
         self.pairwise(other, |v1, v2| v1 + v2)
     }
 
+    /// `self.convolve(self)`, bit for bit, at half the pair work.
+    ///
+    /// IEEE `+` and `*` commute, so pair `(j, i)` repeats pair `(i, j)`
+    /// exactly: only the `i ≤ j` half is built, validated and sorted. Each
+    /// run of bitwise-equal sums is then expanded back to all its members
+    /// in row-major `i * m + j` order — the order the full path's stable
+    /// sort leaves them in — and fed to the same merge, so every
+    /// normalization and accumulation happens in the same order.
+    fn square(&self) -> Pmf {
+        let m = self.len();
+        if m.saturating_mul(m) > PAIRWISE_BUDGET {
+            // `pairwise` coarsens the two operands to different sizes here,
+            // so the mirror identity no longer holds.
+            return self.convolve(self);
+        }
+        self.square_exact()
+            .expect("combining valid pmfs yields a valid pmf")
+    }
+
+    /// The body of [`Self::square`] below the pair budget; fails exactly
+    /// where `from_weights` fails on the full pair list. The first invalid
+    /// pair in row-major order always lies in the `i ≤ j` half (its mirror
+    /// is equally invalid and comes later), and the half is checked in
+    /// row-major order, so the same error is reported.
+    fn square_exact(&self) -> Result<Pmf, StatsError> {
+        let (v, p) = (&self.values, &self.probs);
+        let m = v.len();
+        let mut half: Vec<(f64, u32, u32)> = Vec::with_capacity(m * (m + 1) / 2);
+        for i in 0..m {
+            for j in i..m {
+                let sum = v[i] + v[j];
+                check_pair(sum, p[i] * p[j])?;
+                half.push((sum, i as u32, j as u32));
+            }
+        }
+        // All m² weights in row-major order, so `total` is bit-identical.
+        let total: f64 = p
+            .iter()
+            .flat_map(|&pi| p.iter().map(move |&pj| pi * pj))
+            .sum();
+        if total <= 0.0 {
+            return Err(StatsError::ZeroMass);
+        }
+        half.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut merge = SortedMerge::new(total, half.len());
+        let mut members: Vec<u32> = Vec::new();
+        let mut start = 0;
+        while start < half.len() {
+            let sum = half[start].0;
+            let end = start
+                + half[start..]
+                    .iter()
+                    .take_while(|&&(s, _, _)| s.to_bits() == sum.to_bits())
+                    .count();
+            let group = &half[start..end];
+            start = end;
+            if let [(_, i, j)] = *group {
+                // A lone pair: `(i, j)` precedes its mirror `(j, i)`, which
+                // carries the same weight.
+                let w = p[i as usize] * p[j as usize];
+                merge.push(sum, w);
+                if i != j {
+                    merge.push(sum, w);
+                }
+                continue;
+            }
+            // Row-major indices of the group's members: the half's own
+            // pairs (already in row-major order), then the mirrors in
+            // reverse, which is usually already ascending too; the sort
+            // handles the rest.
+            members.clear();
+            members.extend(group.iter().map(|&(_, i, j)| i * m as u32 + j));
+            members.extend(
+                group
+                    .iter()
+                    .rev()
+                    .filter(|&&(_, i, j)| i != j)
+                    .map(|&(_, i, j)| j * m as u32 + i),
+            );
+            members.sort_unstable();
+            for &k in &members {
+                let (i, j) = (k as usize / m, k as usize % m);
+                merge.push(sum, p[i] * p[j]);
+            }
+        }
+        Ok(merge.finish())
+    }
+
     /// Distribution of the sum of `n` independent draws from this
     /// distribution, coarsening intermediate supports to at most
     /// `max_support` points (0 means unlimited).
@@ -284,7 +410,7 @@ impl Pmf {
             }
             k >>= 1;
             if k > 0 {
-                base = cap(base.convolve(&base));
+                base = cap(base.square());
             }
         }
         result
@@ -673,5 +799,133 @@ mod tests {
     fn prob_where_counts_predicate_mass() {
         let pmf = Pmf::uniform_ints(0, 9).unwrap();
         assert!(close(pmf.prob_where(|v| v >= 5.0), 0.5));
+    }
+
+    /// `square` must reproduce `convolve(self)` bit for bit.
+    fn assert_square_is_exact(pmf: &Pmf) {
+        let fast = pmf.square();
+        let full = pmf.convolve(pmf);
+        assert_eq!(fast.len(), full.len(), "support length");
+        for (k, (a, b)) in fast.iter().zip(full.iter()).enumerate() {
+            assert_eq!(
+                a.0.to_bits(),
+                b.0.to_bits(),
+                "value {k}: {} vs {}",
+                a.0,
+                b.0
+            );
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "prob {k}: {} vs {}", a.1, b.1);
+        }
+    }
+
+    /// Deterministic, deliberately uneven weights: equal weights would
+    /// hide a wrong member order inside a tie group.
+    fn uneven(k: usize) -> f64 {
+        ((k * 7919) % 101 + 1) as f64 / 7.0
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn square_matches_convolve_on_weighted_lattices(
+            points in proptest::collection::vec((-60i32..60, 1u32..1000), 1..80),
+            step in 0usize..4,
+        ) {
+            // Integer lattices make large multi-member tie groups; the
+            // 0.1 step adds rounding, so equal sums need not come from
+            // equal index sums.
+            let step = [1.0, 0.5, 0.1, 3.0][step];
+            let pmf = Pmf::from_weights(points.iter().map(|&(v, w)| (v as f64 * step, w as f64)))
+                .unwrap();
+            assert_square_is_exact(&pmf);
+        }
+
+        #[test]
+        fn square_matches_convolve_when_rounding_collapses_sums(
+            small in proptest::collection::vec((0u32..64, 1u32..1000, 0i32..40), 2..24),
+            huge in proptest::collection::vec((0u32..16, 1u32..1000, 0i32..40), 1..8),
+        ) {
+            // Next to 1e16 (ulp 2) the quarter-steps vanish: 1e16 + 0.25
+            // and 1e16 + 0.5 are one sum, so a tie group holds several
+            // pairs per row and its mirrors are not in row-major order as
+            // built. Weights spanning 2^-40..2^0 make the accumulation
+            // order visible in the low bits.
+            let point = |(k, w, e): (u32, u32, i32), base: f64, step: f64| {
+                (base + k as f64 * step, w as f64 * (-e as f64).exp2())
+            };
+            let small = small.into_iter().map(|s| point(s, 0.0, 0.25));
+            let huge = huge.into_iter().map(|h| point(h, 1e16, 4.0));
+            let pmf = Pmf::from_weights(small.chain(huge)).unwrap();
+            assert_square_is_exact(&pmf);
+        }
+    }
+
+    #[test]
+    fn square_matches_convolve_around_signed_zero() {
+        // -1 + 1 is +0.0 but -0.0 + -0.0 is -0.0: two distinct tie groups
+        // the merge step then folds together.
+        let pmf =
+            Pmf::from_weights(vec![(-1.0, 3.0), (-0.0, 5.0), (1.0, 2.0), (2.0, 7.0)]).unwrap();
+        assert_eq!(pmf.min().to_bits(), (-1.0f64).to_bits());
+        assert!(pmf
+            .support()
+            .iter()
+            .any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert_square_is_exact(&pmf);
+    }
+
+    #[test]
+    fn square_matches_convolve_inside_merge_tolerance() {
+        // Support points 2e-12 apart survive construction, but their sums
+        // near 2.0 fall within the merge tolerance of each other.
+        let pmf = Pmf::from_weights((0..40).map(|k| (1.0 + k as f64 * 2e-12, uneven(k)))).unwrap();
+        assert_eq!(pmf.len(), 40);
+        let squared = pmf.square();
+        assert!(squared.len() < 2 * pmf.len() - 1, "sums should merge");
+        assert_square_is_exact(&pmf);
+    }
+
+    #[test]
+    fn square_matches_convolve_at_the_pair_budget() {
+        // 512² pairs is exactly the budget: the mirror-half path runs.
+        let pmf = Pmf::from_weights((0..MAX_PAIRWISE_SIDE).map(|k| (k as f64, uneven(k)))).unwrap();
+        assert_eq!(pmf.len() * pmf.len(), PAIRWISE_BUDGET);
+        assert_square_is_exact(&pmf);
+    }
+
+    #[test]
+    fn square_over_the_pair_budget_falls_back_to_convolve() {
+        let pmf =
+            Pmf::from_weights((0..=MAX_PAIRWISE_SIDE).map(|k| (k as f64, uneven(k)))).unwrap();
+        assert!(pmf.len() * pmf.len() > PAIRWISE_BUDGET);
+        assert_square_is_exact(&pmf);
+    }
+
+    #[test]
+    fn square_panics_like_convolve_on_overflow() {
+        let big = f64::MAX / 1.5;
+        // The first overflowing pair is on the diagonal in the first three
+        // supports and off it in the last.
+        let supports = [
+            vec![-big, 0.0, big],
+            vec![1.0, big],
+            vec![-big, 2.0],
+            vec![f64::MAX / 2.5, big],
+        ];
+        for support in supports {
+            let pmf = Pmf::from_weights(support.iter().map(|&v| (v, 1.0))).unwrap();
+            let message = |result: std::thread::Result<Pmf>| {
+                let payload = result.expect_err("overflowing sum must panic");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .expect("expect() panics with a String")
+            };
+            let fast = message(std::panic::catch_unwind(|| pmf.square()));
+            let full = message(std::panic::catch_unwind(|| pmf.convolve(&pmf)));
+            assert_eq!(fast, full);
+            assert!(fast.contains("InvalidValue"), "{fast}");
+        }
     }
 }
