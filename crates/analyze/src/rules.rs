@@ -64,7 +64,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Contract: parallel evaluation must reduce in a fixed order.\n\
              Float addition is not associative, so `+=` on floats (or\n\
              sum::<f64>/fold(0.0..)) inside a thread::spawn/thread::scope\n\
-             block can make totals depend on thread interleaving. Fix:\n\
+             block or a cimloop_core::fanout::try_map call can make totals\n\
+             depend on thread interleaving. Fix:\n\
              collect per-chunk partials and combine them after the scope in\n\
              chunk order, marking the reduction with a `chunk-order merge`\n\
              comment near the scope (the marker suppresses this rule).\n\
@@ -541,8 +542,9 @@ fn rule_d002(rel: &str, lines: &[SourceLine], mask: &[bool], raws: &mut Vec<Raw>
     }
 }
 
-/// Paren-matched extent of a `thread::spawn(` / `thread::scope(` call:
-/// returns the 0-based last line of the call.
+/// Paren-matched extent of a `thread::spawn(` / `thread::scope(` /
+/// fan-out helper `try_map(` call: returns the 0-based last line of the
+/// call.
 fn paren_extent(lines: &[SourceLine], start_line: usize, open_col: usize) -> usize {
     let mut depth = 0i64;
     for (li, line) in lines.iter().enumerate().skip(start_line) {
@@ -571,7 +573,7 @@ fn rule_d003(_rel: &str, lines: &[SourceLine], mask: &[bool], raws: &mut Vec<Raw
         if mask[li] {
             continue;
         }
-        let spawn = ["thread::spawn(", "thread::scope("]
+        let spawn = ["thread::spawn(", "thread::scope(", "try_map("]
             .iter()
             .filter_map(|p| line.code.find(p).map(|c| c + p.len() - 1))
             .min();

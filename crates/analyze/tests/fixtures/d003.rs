@@ -1,7 +1,8 @@
 //! analyze-as: crates/system/src/fixture.rs
-//! D003: float accumulation inside thread spawn/scope blocks. Integer
-//! counters are exempt; a `chunk-order merge` marker near the scope
-//! vouches for an ordered reduction; a pragma suppresses with a reason.
+//! D003: float accumulation inside thread spawn/scope blocks and fan-out
+//! helper calls. Integer counters are exempt; a `chunk-order merge`
+//! marker near the scope vouches for an ordered reduction; a pragma
+//! suppresses with a reason.
 
 fn racy(chunks: &[Vec<f64>]) -> f64 {
     let mut n = 0usize;
@@ -18,6 +19,14 @@ fn racy(chunks: &[Vec<f64>]) -> f64 {
         }
     });
     0.0
+}
+
+fn fanned(chunks: &[Vec<f64>], total: &std::sync::Mutex<f64>) {
+    let _ = fanout::try_map(chunks.len(), 4, |i| {
+        let mut t = total.lock().unwrap_or_else(|e| e.into_inner());
+        *t += chunks[i].len() as f64; //~ D003
+        Ok::<_, ()>(())
+    });
 }
 
 fn ordered(chunks: &[Vec<f64>]) -> f64 {

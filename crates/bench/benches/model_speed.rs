@@ -66,7 +66,6 @@ fn value_exact(c: &mut Criterion) {
                 let cfg = ExactConfig {
                     seed: 1,
                     max_activations: acts,
-                    threads: 1,
                 };
                 b.iter(|| {
                     let report = simulate_layer(&m, layer, &cfg).expect("sim");

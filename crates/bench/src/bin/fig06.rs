@@ -23,7 +23,6 @@ fn main() {
     let cfg = ExactConfig {
         seed: 0xF16,
         max_activations: 1024,
-        threads: 1,
     };
 
     let mut table = ExperimentTable::new(

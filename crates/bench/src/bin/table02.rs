@@ -16,6 +16,7 @@
 use std::time::Instant;
 
 use cimloop_bench::{fmt, ExperimentTable};
+use cimloop_core::{fanout, CoreError};
 use cimloop_macros::base_macro;
 use cimloop_map::Mapper;
 use cimloop_sim::{simulate_layer, ExactConfig};
@@ -109,46 +110,40 @@ fn main() {
         fmt(rate_1core_many),
     ]);
 
-    // --- Statistical model, all cores (parallel over mappings). ---
+    // --- Statistical model, all cores (parallel over layers for one
+    // mapping, over mappings for many). ---
+    let rate_multi_1map = {
+        let start = Instant::now();
+        let reports = fanout::try_map(eval_layers.len(), cores, |i| {
+            evaluator.evaluate_layer(eval_layers[i], &rep)
+        })
+        .expect("eval");
+        assert!(reports.iter().all(|r| r.energy_total() > 0.0));
+        reports.len() as f64 / start.elapsed().as_secs_f64()
+    };
     let rate_multi = {
         let start = Instant::now();
-        let mut evaluated = 0u64;
+        let mut evaluated = 0usize;
         for layer in eval_layers.iter().take(4) {
             let table_ = evaluator.action_energies(layer, &rep).expect("energies");
             let shape = evaluator.shape_for(layer, &rep).expect("shape");
             let mappings = Mapper::default()
                 .enumerate(evaluator.hierarchy(), shape, mappings_per_layer)
                 .expect("mappings");
-            let chunk = mappings.len().div_ceil(cores);
-            let done: u64 = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for part in mappings.chunks(chunk) {
-                    let evaluator = &evaluator;
-                    let table_ = &table_;
-                    let rep = &rep;
-                    handles.push(scope.spawn(move || {
-                        let mut n = 0u64;
-                        for mapping in part {
-                            let report = evaluator
-                                .evaluate_mapping(layer, rep, table_, mapping)
-                                .expect("mapping eval");
-                            assert!(report.energy_total() > 0.0);
-                            n += 1;
-                        }
-                        n
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("join")).sum()
-            });
-            evaluated += done;
+            fanout::try_map(mappings.len(), cores, |i| {
+                let report = evaluator.evaluate_mapping(layer, &rep, &table_, &mappings[i])?;
+                assert!(report.energy_total() > 0.0);
+                Ok::<_, CoreError>(())
+            })
+            .expect("mapping eval");
+            evaluated += mappings.len();
         }
         evaluated as f64 / start.elapsed().as_secs_f64()
     };
-    let rate_multi_1map = rate_1core_1map * cores as f64 * 0.8; // estimated
     table.row(vec![
         "CiMLoop statistical".to_owned(),
         cores.to_string(),
-        format!("~{}", fmt(rate_multi_1map)),
+        fmt(rate_multi_1map),
         fmt(rate_multi),
     ]);
 

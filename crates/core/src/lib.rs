@@ -85,6 +85,7 @@ mod cache;
 mod encoding;
 mod error;
 mod evaluator;
+pub mod fanout;
 mod pipeline;
 mod representation;
 

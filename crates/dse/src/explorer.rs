@@ -36,10 +36,10 @@
 //!   produces, because the front is insertion-order-independent and
 //!   equal-objective classes collapse to the globally smallest id.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cimloop_core::{CoreError, EnergyTableCache, Evaluator, Representation, RunReport};
+use cimloop_core::{fanout, CoreError, EnergyTableCache, Evaluator, Representation, RunReport};
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::SNR_CAP_DB;
 use cimloop_sim::{mc_workload, McConfig};
@@ -342,8 +342,8 @@ impl Explorer {
     }
 
     /// Sets the worker-thread count. `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`]; `1` evaluates designs
-    /// sequentially on the calling thread (still cached).
+    /// every available core ([`fanout::resolve_threads`]); `1` evaluates
+    /// designs sequentially on the calling thread (still cached).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -493,81 +493,30 @@ impl Explorer {
         let completed = limit == candidates.len();
         let claimed = &candidates[..limit];
 
-        let threads = self.resolved_threads(limit);
+        let threads = fanout::resolve_threads(self.threads, limit);
         let front = Mutex::new(seed);
         let evaluated = AtomicUsize::new(0);
         let screened = AtomicUsize::new(0);
-
-        if threads <= 1 {
-            for point in claimed {
-                match self.screened_report(point, space, workload)? {
-                    Some(report) => {
-                        evaluated.fetch_add(1, Ordering::Relaxed);
-                        sink(&report);
-                        front.lock().expect("front lock poisoned").insert(
-                            point.id(),
-                            report.objectives_for(self.accuracy),
-                            report,
-                        );
-                    }
-                    None => {
-                        screened.fetch_add(1, Ordering::Relaxed);
-                    }
+        // Design ids ascend with the claim index, so the returned error is
+        // the earliest failing claimed design's.
+        fanout::try_map(limit, threads, |i| {
+            let point = &claimed[i];
+            match self.screened_report(point, space, workload)? {
+                Some(report) => {
+                    evaluated.fetch_add(1, Ordering::Relaxed);
+                    sink(&report);
+                    front.lock().expect("front lock poisoned").insert(
+                        point.id(),
+                        report.objectives_for(self.accuracy),
+                        report,
+                    );
+                }
+                None => {
+                    screened.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let mut failures: Vec<(u64, CoreError)> = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let next = &next;
-                    let failed = &failed;
-                    let front = &front;
-                    let evaluated = &evaluated;
-                    let screened = &screened;
-                    let sink = &sink;
-                    let this = self;
-                    handles.push(scope.spawn(move || {
-                        let mut errors = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= limit {
-                                break;
-                            }
-                            let point = &claimed[i];
-                            match this.screened_report(point, space, workload) {
-                                Ok(Some(report)) => {
-                                    evaluated.fetch_add(1, Ordering::Relaxed);
-                                    sink(&report);
-                                    front.lock().expect("front lock poisoned").insert(
-                                        point.id(),
-                                        report.objectives_for(this.accuracy),
-                                        report,
-                                    );
-                                }
-                                Ok(None) => {
-                                    screened.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    errors.push((point.id(), e));
-                                }
-                            }
-                        }
-                        errors
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("explorer worker panicked"))
-                    .collect()
-            });
-            failures.sort_by_key(|&(id, _)| id);
-            if let Some((_, error)) = failures.into_iter().next() {
-                return Err(error);
-            }
-        }
+            Ok::<_, CoreError>(())
+        })?;
 
         let mut processed = prior;
         processed.extend(claimed.iter().map(DesignPoint::id));
@@ -645,18 +594,6 @@ impl Explorer {
                 Ok((system.evaluator()?, system.representation()))
             }
         }
-    }
-
-    /// The resolved worker count for `designs` candidates.
-    fn resolved_threads(&self, designs: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, designs.max(1))
     }
 }
 

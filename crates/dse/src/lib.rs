@@ -12,8 +12,8 @@
 //!   (array dims, DAC/ADC resolution, cell width) over named
 //!   [`ArrayMacro`](cimloop_macros::ArrayMacro) variants, with stable
 //!   design ids and user filters.
-//! - [`Explorer`] — fans candidate designs over a scoped thread pool with
-//!   one shared [`EnergyTableCache`](cimloop_core::EnergyTableCache):
+//! - [`Explorer`] — fans candidate designs out through
+//!   [`cimloop_core::fanout`] with one shared [`EnergyTableCache`](cimloop_core::EnergyTableCache):
 //!   layers within a design share finished energy tables, and designs
 //!   that agree on reduction width and representation share the dominant
 //!   column-sum statistics across hierarchies.

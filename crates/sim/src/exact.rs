@@ -19,17 +19,15 @@ pub struct ExactConfig {
     /// activations is scaled to the full layer. `0` simulates every
     /// activation.
     pub max_activations: u64,
-    /// Worker threads (1 = single-threaded, as NeuroSim runs).
-    pub threads: usize,
 }
 
 impl ExactConfig {
-    /// Full-fidelity, single-threaded (the Table II baseline setup).
+    /// Full fidelity (the Table II baseline setup). The simulator runs on
+    /// one thread, as NeuroSim does.
     pub fn full() -> Self {
         ExactConfig {
             seed: 0xC1A0,
             max_activations: 0,
-            threads: 1,
         }
     }
 
@@ -39,19 +37,12 @@ impl ExactConfig {
         ExactConfig {
             seed: 0xC1A0,
             max_activations: 256,
-            threads: 1,
         }
     }
 
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -280,56 +271,15 @@ pub fn simulate_layer(
         layer.weight_signed(),
     );
 
-    let threads = cfg.threads.max(1).min(simulated.max(1) as usize);
-    let mut partials: Vec<SimPartial> = Vec::new();
-    if threads == 1 {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        partials.push(simulate_steps(
-            simulated,
-            &geometry,
-            &tables,
-            &input_sampler,
-            &weight_sampler,
-            &mut rng,
-        ));
-    } else {
-        let per_thread = simulated.div_ceil(threads as u64);
-        let results: Vec<SimPartial> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let steps = per_thread.min(simulated.saturating_sub(t as u64 * per_thread));
-                if steps == 0 {
-                    continue;
-                }
-                let geometry = &geometry;
-                let tables = &tables;
-                let input_sampler = &input_sampler;
-                let weight_sampler = &weight_sampler;
-                let seed = cfg.seed.wrapping_add(t as u64 + 1);
-                handles.push(scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    simulate_steps(
-                        steps,
-                        geometry,
-                        tables,
-                        input_sampler,
-                        weight_sampler,
-                        &mut rng,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sim thread"))
-                .collect()
-        });
-        partials = results;
-    }
-
-    let mut sim = SimPartial::default();
-    for p in &partials {
-        sim.merge(p);
-    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let sim = simulate_steps(
+        simulated,
+        &geometry,
+        &tables,
+        &input_sampler,
+        &weight_sampler,
+        &mut rng,
+    );
 
     // Replace the value-dependent analog components with simulated totals.
     let cell_writes = counts.actions("cell", Tensor::Weights).writes
@@ -460,7 +410,7 @@ impl Geometry {
 }
 
 #[derive(Debug, Default, Clone)]
-struct SimPartial {
+struct SimTotals {
     dac: f64,
     control: f64,
     cell: f64,
@@ -471,19 +421,6 @@ struct SimPartial {
     events: u64,
 }
 
-impl SimPartial {
-    fn merge(&mut self, other: &SimPartial) {
-        self.dac += other.dac;
-        self.control += other.control;
-        self.cell += other.cell;
-        self.adc += other.adc;
-        self.adder += other.adder;
-        self.analog_accumulator += other.analog_accumulator;
-        self.accumulator += other.accumulator;
-        self.events += other.events;
-    }
-}
-
 fn simulate_steps(
     steps: u64,
     g: &Geometry,
@@ -491,8 +428,8 @@ fn simulate_steps(
     input_sampler: &OperandSampler,
     weight_sampler: &OperandSampler,
     rng: &mut StdRng,
-) -> SimPartial {
-    let mut out = SimPartial::default();
+) -> SimTotals {
+    let mut out = SimTotals::default();
     let adc_max = ((1u64 << tables.adc_bits) - 1) as f64;
     let sum_max = g.sum_max();
 

@@ -72,19 +72,6 @@ fn exact_sim_is_deterministic_per_seed() {
 }
 
 #[test]
-fn multithreaded_sim_matches_single_thread_statistically() {
-    let m = base_macro();
-    let net = models::resnet18();
-    let layer = &net.layers()[3];
-    let single =
-        simulate_layer(&m, layer, &ExactConfig::fast().with_seed(7).with_threads(1)).unwrap();
-    let multi =
-        simulate_layer(&m, layer, &ExactConfig::fast().with_seed(7).with_threads(4)).unwrap();
-    let diff = (single.energy_total() - multi.energy_total()).abs() / single.energy_total();
-    assert!(diff < 0.10, "thread split changed estimate by {diff:.3}");
-}
-
-#[test]
 fn sampling_scales_to_full_layer() {
     let m = base_macro();
     let net = models::resnet18();

@@ -10,8 +10,9 @@
 //!
 //! For whole-network sweeps, [`NetworkEngine`] amortizes the
 //! data-value-dependent energy tables across layers with equal value
-//! signatures and fans layer evaluation out over a scoped thread pool,
-//! producing bit-identical reports to the sequential path.
+//! signatures and fans layer evaluation out through
+//! [`cimloop_core::fanout`], producing bit-identical reports at any
+//! thread count.
 //!
 //! # Example
 //!
@@ -36,10 +37,8 @@
 #![warn(clippy::print_stderr)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use cimloop_core::{
-    CoreError, EnergyTableCache, Evaluator, LayerReport, Representation, RunReport,
+    fanout, CoreError, EnergyTableCache, Evaluator, LayerReport, Representation, RunReport,
 };
 use cimloop_macros::ArrayMacro;
 use cimloop_spec::{Component, Hierarchy, Reuse, Tensor};
@@ -283,8 +282,8 @@ impl<'a> NetworkEngine<'a> {
     }
 
     /// Sets the worker-thread count. `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`]; `1` evaluates layers
-    /// sequentially on the calling thread (still cached).
+    /// every available core ([`fanout::resolve_threads`]); `1` evaluates
+    /// layers sequentially on the calling thread (still cached).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -309,18 +308,6 @@ impl<'a> NetworkEngine<'a> {
         &self.cache
     }
 
-    /// The resolved worker count for a workload of `layers` layers.
-    fn resolved_threads(&self, layers: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, layers.max(1))
-    }
-
     /// Evaluates one layer through the shared energy-table cache.
     ///
     /// # Errors
@@ -336,9 +323,9 @@ impl<'a> NetworkEngine<'a> {
     }
 
     /// Evaluates a whole workload, amortizing energy tables across layers
-    /// and parallelizing layer evaluation over the thread pool. The merged
-    /// report is deterministic: layers appear in workload order with
-    /// bit-identical numbers to the sequential path.
+    /// and fanning layer evaluation out with [`fanout::try_map`]. The
+    /// merged report is deterministic: layers appear in workload order with
+    /// bit-identical numbers at any thread count.
     ///
     /// # Errors
     ///
@@ -352,50 +339,11 @@ impl<'a> NetworkEngine<'a> {
         rep: &Representation,
     ) -> Result<RunReport, CoreError> {
         let layers = workload.layers();
-        let threads = self.resolved_threads(layers.len());
-        if threads == 1 {
-            return self.evaluator.evaluate_cached(workload, rep, &self.cache);
-        }
-
-        // Work-stealing over layer indices: workers pull the next index
-        // from a shared counter and tag results with it, so the merge
-        // below is independent of scheduling. A failure aborts the sweep
-        // promptly instead of paying for the remaining layers.
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut tagged: Vec<(usize, Result<LayerReport, CoreError>)> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let next = &next;
-                    let failed = &failed;
-                    let cache = &self.cache;
-                    let evaluator = self.evaluator;
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(layer) = layers.get(i) else { break };
-                            let result = evaluator.evaluate_layer_cached(layer, rep, cache);
-                            if result.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            out.push((i, result));
-                        }
-                        out
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("engine worker panicked"))
-                    .collect()
-            });
-
-        tagged.sort_by_key(|&(i, _)| i);
-        let mut merged = Vec::with_capacity(layers.len());
-        for (i, result) in tagged {
-            merged.push((layers[i].count(), result?));
-        }
+        let threads = fanout::resolve_threads(self.threads, layers.len());
+        let reports = fanout::try_map(layers.len(), threads, |i| {
+            self.evaluate_layer(&layers[i], rep)
+        })?;
+        let merged = layers.iter().map(|l| l.count()).zip(reports).collect();
         Ok(RunReport::from_layer_reports(workload.name(), merged))
     }
 }
