@@ -298,7 +298,11 @@ impl<K: Eq + Hash + Clone, V> Level<K, V> {
     /// The computation runs *outside* the lock: entries are expensive and
     /// other signatures must not serialize behind this miss. Concurrent
     /// misses on one key may compute it twice; the result is deterministic,
-    /// so whichever insertion wins is bit-identical.
+    /// so whichever insertion wins is bit-identical. A network evaluation
+    /// never races itself this way (it fills each distinct signature once
+    /// before fanning its layers out), so such duplicate fills remain
+    /// possible only across the concurrent designs of an `Explorer` sweep
+    /// and across concurrent `cimloop serve` requests.
     fn get_or_try_insert_with<E>(
         &self,
         key: K,

@@ -26,6 +26,28 @@ fn check_pair(v: f64, w: f64) -> Result<(), StatsError> {
     Ok(())
 }
 
+/// Pair `(i, j)` as one word that orders like the row-major index
+/// `i * m + j` (both indices stay below `MAX_PAIRWISE_SIDE`).
+fn pack(i: usize, j: usize) -> u32 {
+    ((i as u32) << 16) | j as u32
+}
+
+/// Inverse of [`pack`].
+fn unpack(k: u32) -> (usize, usize) {
+    ((k >> 16) as usize, (k & 0xffff) as usize)
+}
+
+/// An unsigned key that orders finite values exactly like `f64::total_cmp`:
+/// negative values (sign bit set) flip every bit, the rest set the sign bit.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Builds a [`Pmf`] from pairs pushed in ascending value order: each weight
 /// is normalized by `total`, and a value within merge tolerance of the last
 /// kept value folds its mass into it.
@@ -302,12 +324,12 @@ impl Pmf {
 
     /// `self.convolve(self)`, bit for bit, at half the pair work.
     ///
-    /// IEEE `+` and `*` commute, so pair `(j, i)` repeats pair `(i, j)`
-    /// exactly: only the `i ≤ j` half is built, validated and sorted. Each
-    /// run of bitwise-equal sums is then expanded back to all its members
-    /// in row-major `i * m + j` order — the order the full path's stable
-    /// sort leaves them in — and fed to the same merge, so every
-    /// normalization and accumulation happens in the same order.
+    /// The full path pushes its `m²` pairs `(v[i] + v[j], p[i] * p[j])`,
+    /// stably sorted by `total_cmp` of the sum, into [`SortedMerge`]; both
+    /// paths below feed the merge exactly that sequence, so every
+    /// normalization and accumulation happens in the same order. Integer
+    /// supports with a compact sum range take [`Self::square_on_lattice`],
+    /// everything else [`Self::square_by_key`].
     fn square(&self) -> Pmf {
         let m = self.len();
         if m.saturating_mul(m) > PAIRWISE_BUDGET {
@@ -315,27 +337,17 @@ impl Pmf {
             // so the mirror identity no longer holds.
             return self.convolve(self);
         }
-        self.square_exact()
-            .expect("combining valid pmfs yields a valid pmf")
+        let squared = match self.lattice_offsets() {
+            Some(offsets) => self.square_on_lattice(&offsets),
+            None => self.square_by_key(),
+        };
+        squared.expect("combining valid pmfs yields a valid pmf")
     }
 
-    /// The body of [`Self::square`] below the pair budget; fails exactly
-    /// where `from_weights` fails on the full pair list. The first invalid
-    /// pair in row-major order always lies in the `i ≤ j` half (its mirror
-    /// is equally invalid and comes later), and the half is checked in
-    /// row-major order, so the same error is reported.
-    fn square_exact(&self) -> Result<Pmf, StatsError> {
-        let (v, p) = (&self.values, &self.probs);
-        let m = v.len();
-        let mut half: Vec<(f64, u32, u32)> = Vec::with_capacity(m * (m + 1) / 2);
-        for i in 0..m {
-            for j in i..m {
-                let sum = v[i] + v[j];
-                check_pair(sum, p[i] * p[j])?;
-                half.push((sum, i as u32, j as u32));
-            }
-        }
-        // All m² weights in row-major order, so `total` is bit-identical.
+    /// The `from_weights` normalizer of the full pair list: all `m²`
+    /// weights summed in row-major order, so `total` is bit-identical.
+    fn pair_total(&self) -> Result<f64, StatsError> {
+        let p = &self.probs;
         let total: f64 = p
             .iter()
             .flat_map(|&pi| p.iter().map(move |&pj| pi * pj))
@@ -343,23 +355,118 @@ impl Pmf {
         if total <= 0.0 {
             return Err(StatsError::ZeroMass);
         }
-        half.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut merge = SortedMerge::new(total, half.len());
+        Ok(total)
+    }
+
+    /// Each support value's offset from the minimum, when every pairwise
+    /// sum is an exact integer (`|v| < 2^50`) and the sum range
+    /// `2 (max − min) + 1` holds no more buckets than there are pairs.
+    fn lattice_offsets(&self) -> Option<Vec<u32>> {
+        const EXACT: f64 = (1u64 << 50) as f64;
+        let m = self.len();
+        if !self
+            .values
+            .iter()
+            .all(|&x| x.fract() == 0.0 && x.abs() < EXACT)
+        {
+            return None;
+        }
+        let lo = self.min();
+        if 2.0 * (self.max() - lo) + 1.0 > (m * m) as f64 {
+            return None;
+        }
+        Some(self.values.iter().map(|&x| (x - lo) as u32).collect())
+    }
+
+    /// [`Self::square`] on an integer lattice: the sums are exact integers,
+    /// so ordering them is a counting sort of all `m²` pairs by sum offset
+    /// in row-major order — exactly the full path's stable order. The one
+    /// exception is `-0.0`: `-0.0 + -0.0` is the only pair whose sum is
+    /// `-0.0`, and `total_cmp` puts it before the `+0.0` sums sharing its
+    /// bucket.
+    ///
+    /// Fails exactly where `from_weights` fails on the full pair list: the
+    /// first invalid pair in row-major order always lies in the `i ≤ j`
+    /// half (its mirror is equally invalid and comes later), and the half
+    /// is checked in row-major order.
+    fn square_on_lattice(&self, offsets: &[u32]) -> Result<Pmf, StatsError> {
+        let (v, p) = (&self.values, &self.probs);
+        let m = v.len();
+        let span = 2 * offsets[m - 1] as usize + 1;
+        // `next[s + 1]` counts the pairs in bucket `s`; the prefix sum
+        // turns it into each bucket's next free slot.
+        let mut next = vec![0u32; span + 1];
+        for i in 0..m {
+            for j in i..m {
+                check_pair(v[i] + v[j], p[i] * p[j])?;
+                next[(offsets[i] + offsets[j]) as usize + 1] += if i == j { 1 } else { 2 };
+            }
+        }
+        for s in 1..=span {
+            next[s] += next[s - 1];
+        }
+        let mut order = vec![0u32; m * m];
+        // `-0.0 + -0.0` takes the first slot of its bucket; every other
+        // pair fills the slots in row-major order.
+        let neg_zero = v.iter().position(|x| x.to_bits() == (-0.0f64).to_bits());
+        if let Some(z) = neg_zero {
+            let slot = &mut next[2 * offsets[z] as usize];
+            order[*slot as usize] = pack(z, z);
+            *slot += 1;
+        }
+        for i in 0..m {
+            for j in 0..m {
+                if i == j && neg_zero == Some(i) {
+                    continue;
+                }
+                let slot = &mut next[(offsets[i] + offsets[j]) as usize];
+                order[*slot as usize] = pack(i, j);
+                *slot += 1;
+            }
+        }
+        let mut merge = SortedMerge::new(self.pair_total()?, span);
+        for k in order {
+            let (i, j) = unpack(k);
+            merge.push(v[i] + v[j], p[i] * p[j]);
+        }
+        Ok(merge.finish())
+    }
+
+    /// [`Self::square`] off the lattice: only the `i ≤ j` half is built and
+    /// sorted (IEEE `+` and `*` commute, so pair `(j, i)` repeats pair
+    /// `(i, j)` exactly), on integer keys that order like `total_cmp`. Each
+    /// run of bitwise-equal sums is then expanded back to all its members
+    /// in row-major order. That expansion never depends on how the
+    /// unstable sort placed the run's pairs, so the output does not either.
+    ///
+    /// Fails exactly where `from_weights` fails, by the argument of
+    /// [`Self::square_on_lattice`].
+    fn square_by_key(&self) -> Result<Pmf, StatsError> {
+        let (v, p) = (&self.values, &self.probs);
+        let m = v.len();
+        let mut half: Vec<(u64, u32)> = Vec::with_capacity(m * (m + 1) / 2);
+        for i in 0..m {
+            for j in i..m {
+                let sum = v[i] + v[j];
+                check_pair(sum, p[i] * p[j])?;
+                half.push((order_key(sum), pack(i, j)));
+            }
+        }
+        let mut merge = SortedMerge::new(self.pair_total()?, half.len());
+        half.sort_unstable_by_key(|&(key, _)| key);
         let mut members: Vec<u32> = Vec::new();
         let mut start = 0;
         while start < half.len() {
-            let sum = half[start].0;
-            let end = start
-                + half[start..]
-                    .iter()
-                    .take_while(|&&(s, _, _)| s.to_bits() == sum.to_bits())
-                    .count();
+            let key = half[start].0;
+            let end = start + half[start..].iter().take_while(|e| e.0 == key).count();
             let group = &half[start..end];
             start = end;
-            if let [(_, i, j)] = *group {
+            let (i, j) = unpack(group[0].1);
+            let sum = v[i] + v[j];
+            if group.len() == 1 {
                 // A lone pair: `(i, j)` precedes its mirror `(j, i)`, which
                 // carries the same weight.
-                let w = p[i as usize] * p[j as usize];
+                let w = p[i] * p[j];
                 merge.push(sum, w);
                 if i != j {
                     merge.push(sum, w);
@@ -367,21 +474,18 @@ impl Pmf {
                 continue;
             }
             // Row-major indices of the group's members: the half's own
-            // pairs (already in row-major order), then the mirrors in
-            // reverse, which is usually already ascending too; the sort
-            // handles the rest.
+            // pairs, then their mirrors.
             members.clear();
-            members.extend(group.iter().map(|&(_, i, j)| i * m as u32 + j));
-            members.extend(
-                group
-                    .iter()
-                    .rev()
-                    .filter(|&&(_, i, j)| i != j)
-                    .map(|&(_, i, j)| j * m as u32 + i),
-            );
+            for &(_, k) in group {
+                let (i, j) = unpack(k);
+                members.push(k);
+                if i != j {
+                    members.push(pack(j, i));
+                }
+            }
             members.sort_unstable();
             for &k in &members {
-                let (i, j) = (k as usize / m, k as usize % m);
+                let (i, j) = unpack(k);
                 merge.push(sum, p[i] * p[j]);
             }
         }
@@ -859,6 +963,152 @@ mod tests {
             let pmf = Pmf::from_weights(small.chain(huge)).unwrap();
             assert_square_is_exact(&pmf);
         }
+    }
+
+    /// Integers `start, start + g1, start + g1 + g2, ...` with uneven,
+    /// wide-ranging weights.
+    fn gapped_integers(start: i64, steps: &[(u32, u32, i32)]) -> Pmf {
+        let mut x = start;
+        Pmf::from_weights(steps.iter().map(|&(gap, w, e)| {
+            x += gap as i64;
+            (x as f64, w as f64 * (-e as f64).exp2())
+        }))
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn square_matches_convolve_on_gapped_integer_lattices(
+            start in -3000i64..3000,
+            steps in proptest::collection::vec((1u32..6, 1u32..1000, 0i32..40), 10..100),
+        ) {
+            // Gaps of at most 5 keep the sum range within m², so the
+            // counting-sort path runs; every sum is a large tie group.
+            let pmf = gapped_integers(start, &steps);
+            proptest::prop_assert!(pmf.lattice_offsets().is_some());
+            assert_square_is_exact(&pmf);
+        }
+
+        #[test]
+        fn square_matches_convolve_on_negative_integer_lattices(
+            start in -5000i64..-600,
+            steps in proptest::collection::vec((1u32..6, 1u32..1000, 0i32..40), 10..100),
+        ) {
+            let pmf = gapped_integers(start, &steps);
+            proptest::prop_assert!(pmf.max() < 0.0);
+            proptest::prop_assert!(pmf.lattice_offsets().is_some());
+            assert_square_is_exact(&pmf);
+        }
+
+        #[test]
+        fn square_matches_convolve_with_negative_zero_on_a_lattice(
+            ints in proptest::collection::vec((-6i32..7, 1u32..1000), 8..30),
+            zero_weight in 1u32..1000,
+        ) {
+            // `-0.0` survives construction whenever it is the only zero
+            // (or sorts first next to `+0.0`), and `-0.0 + -0.0` is then
+            // the one `-0.0` sum in a bucket of `+0.0` sums.
+            let pmf = Pmf::from_weights(
+                ints.iter()
+                    .map(|&(v, w)| (v as f64, w as f64))
+                    .chain([(-0.0, zero_weight as f64)]),
+            )
+            .unwrap();
+            proptest::prop_assert!(pmf
+                .support()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f64).to_bits()));
+            proptest::prop_assume!(pmf.lattice_offsets().is_some());
+            assert_square_is_exact(&pmf);
+        }
+
+        #[test]
+        fn square_matches_convolve_on_near_lattice_supports(
+            points in proptest::collection::vec((-50i32..50, 0u32..3, 1u32..1000), 2..80),
+        ) {
+            // Integers nudged by multiples of 2^-30: off the lattice, so the
+            // integer-key sort runs, yet sums still tie across rows.
+            let pmf = Pmf::from_weights(
+                points.iter().map(|&(k, e, w)| (k as f64 + e as f64 * (-30f64).exp2(), w as f64)),
+            )
+            .unwrap();
+            proptest::prop_assume!(pmf.support().iter().any(|v| v.fract() != 0.0));
+            proptest::prop_assert!(pmf.lattice_offsets().is_none());
+            assert_square_is_exact(&pmf);
+        }
+    }
+
+    #[test]
+    fn order_key_orders_like_total_cmp() {
+        let values = [
+            f64::MIN,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e16,
+            f64::MAX,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn square_matches_convolve_with_negative_zero_between_integers() {
+        let weights = [3.0, 5.0, 0.25, 7.0, 11.0, 2.0, 1.0];
+        for support in [
+            vec![-3.0, -2.0, -1.0, -0.0, 1.0, 2.0, 4.0],
+            vec![-0.0, 1.0, 2.0, 3.0],
+            vec![-2.0, -1.0, -0.0],
+            vec![-0.0],
+        ] {
+            let pmf = Pmf::from_weights(support.iter().copied().zip(weights)).unwrap();
+            assert_eq!(pmf.len(), support.len());
+            assert!(pmf.lattice_offsets().is_some(), "{support:?}");
+            assert_square_is_exact(&pmf);
+        }
+    }
+
+    #[test]
+    fn square_leaves_the_lattice_at_two_to_the_fifty() {
+        let exact = (1u64 << 50) as f64;
+        let below = Pmf::from_weights((1..=20).map(|k| (exact - k as f64, uneven(k)))).unwrap();
+        assert!(below.lattice_offsets().is_some());
+        assert_square_is_exact(&below);
+        for start in [exact, -exact, 3.0 * exact] {
+            let pmf = Pmf::from_weights((0..20).map(|k| (start + k as f64, uneven(k)))).unwrap();
+            assert!(pmf.lattice_offsets().is_none(), "{start}");
+            assert_square_is_exact(&pmf);
+        }
+    }
+
+    #[test]
+    fn square_leaves_the_lattice_over_the_span_cap() {
+        // Five points spanning 12: 2·12 + 1 = 25 buckets fit 5² pairs,
+        // one more unit of range does not.
+        let weights = [3.0, 1.0, 4.0, 1.0, 5.0];
+        let at_cap =
+            Pmf::from_weights([0.0, 1.0, 5.0, 9.0, 12.0].into_iter().zip(weights)).unwrap();
+        assert!(at_cap.lattice_offsets().is_some());
+        assert_square_is_exact(&at_cap);
+        let over = Pmf::from_weights([0.0, 1.0, 5.0, 9.0, 13.0].into_iter().zip(weights)).unwrap();
+        assert!(over.lattice_offsets().is_none());
+        assert_square_is_exact(&over);
+        let sparse = Pmf::from_weights([(-1000.0, 1.0), (0.0, 2.0), (1000.0, 3.0)]).unwrap();
+        assert!(sparse.lattice_offsets().is_none());
+        assert_square_is_exact(&sparse);
     }
 
     #[test]

@@ -327,22 +327,63 @@ impl<'a> NetworkEngine<'a> {
     /// merged report is deterministic: layers appear in workload order with
     /// bit-identical numbers at any thread count.
     ///
+    /// Two passes: the first fills the table of each distinct
+    /// [`Evaluator::table_signature`] once, from its first layer in
+    /// workload order; the second maps and evaluates every layer, the first
+    /// layers reusing the tables just filled and the rest looking theirs up
+    /// in the cache. Every layer makes exactly one cache lookup, and on a
+    /// cache that holds every distinct table the call needs, no two of its
+    /// threads ever fill the same table or statistics entry.
+    ///
     /// # Errors
     ///
-    /// Propagates per-layer errors. On the first failure the sweep aborts:
-    /// workers stop pulling layers, so unclaimed layers are never
-    /// evaluated, and the error of the earliest *claimed* failing layer is
-    /// returned.
+    /// Each pass aborts on its first failure: workers stop claiming items,
+    /// and the error of the earliest *claimed* failing item is returned. A
+    /// table error (e.g. [`CoreError::Workload`] for an unrepresentable
+    /// operand precision) therefore comes from the first pass and wins over
+    /// any mapping or dataflow error of an earlier layer, which only the
+    /// second pass would reach.
     pub fn evaluate_network(
         &self,
         workload: &Workload,
         rep: &Representation,
     ) -> Result<RunReport, CoreError> {
         let layers = workload.layers();
-        let threads = fanout::resolve_threads(self.threads, layers.len());
-        let reports = fanout::try_map(layers.len(), threads, |i| {
-            self.evaluate_layer(&layers[i], rep)
-        })?;
+        let signatures: Vec<_> = layers
+            .iter()
+            .map(|l| self.evaluator.table_signature(l, rep))
+            .collect();
+        // Index of each distinct signature's first layer, ascending.
+        let mut firsts: Vec<usize> = Vec::new();
+        for (i, signature) in signatures.iter().enumerate() {
+            if !firsts.iter().any(|&f| signatures[f] == *signature) {
+                firsts.push(i);
+            }
+        }
+        let tables = fanout::try_map(
+            firsts.len(),
+            fanout::resolve_threads(self.threads, firsts.len()),
+            |k| {
+                self.evaluator
+                    .action_energies_cached(&layers[firsts[k]], rep, &self.cache)
+            },
+        )?;
+        let reports = fanout::try_map(
+            layers.len(),
+            fanout::resolve_threads(self.threads, layers.len()),
+            |i| {
+                let layer = &layers[i];
+                let table = match firsts.binary_search(&i) {
+                    Ok(k) => std::sync::Arc::clone(&tables[k]),
+                    Err(_) => self
+                        .evaluator
+                        .action_energies_cached(layer, rep, &self.cache)?,
+                };
+                let mapping = self.evaluator.map_layer(layer, rep)?;
+                self.evaluator
+                    .evaluate_mapping(layer, rep, &table, &mapping)
+            },
+        )?;
         let merged = layers.iter().map(|l| l.count()).zip(reports).collect();
         Ok(RunReport::from_layer_reports(workload.name(), merged))
     }
@@ -356,6 +397,27 @@ mod tests {
 
     fn small_layer() -> Layer {
         Layer::new("l", LayerKind::Linear, Shape::linear(32, 128, 128).unwrap())
+    }
+
+    /// An unrolled transformer-style stack: `n` layers, distinct shapes,
+    /// but only two distinct value signatures (shape is not part of the
+    /// signature; precision is).
+    fn stack(n: u64) -> cimloop_workload::Workload {
+        let layers: Vec<Layer> = (0..n)
+            .map(|i| {
+                let l = Layer::new(
+                    format!("block{i}"),
+                    LayerKind::Linear,
+                    Shape::linear(4, 32 + 16 * i, 64).unwrap(),
+                );
+                if i % 3 == 0 {
+                    l.with_input_bits(4)
+                } else {
+                    l
+                }
+            })
+            .collect();
+        cimloop_workload::Workload::new("stack", layers).unwrap()
     }
 
     #[test]
@@ -439,33 +501,15 @@ mod tests {
         let m = base_macro().uncalibrated();
         let evaluator = m.raw_evaluator().unwrap();
         let rep = m.representation();
-        // An unrolled transformer-style stack: 6 layers, distinct shapes,
-        // but only two distinct value signatures (shape is not part of the
-        // signature; precision is).
-        let layers: Vec<Layer> = (0..6)
-            .map(|i| {
-                let l = Layer::new(
-                    format!("block{i}"),
-                    LayerKind::Linear,
-                    Shape::linear(4, 32 + 16 * i, 64).unwrap(),
-                );
-                if i % 3 == 0 {
-                    l.with_input_bits(4)
-                } else {
-                    l
-                }
-            })
-            .collect();
-        let net = cimloop_workload::Workload::new("stack", layers).unwrap();
+        let net = stack(6);
 
         let sequential = evaluator.evaluate(&net, &rep).unwrap();
         let engine = NetworkEngine::new(&evaluator).with_threads(4);
         let parallel = engine.evaluate_network(&net, &rep).unwrap();
         assert_eq!(sequential, parallel);
-        // Repeated signatures dedupe to two cached tables. (The hit/miss
-        // split is timing-dependent under concurrency — racing misses on
-        // one signature may each compute a bit-identical table — so only
-        // the lookup total and the deduped count are asserted.)
+        // Repeated signatures dedupe to two cached tables. Every layer
+        // makes one lookup; the exact hit/miss split is pinned by
+        // `fresh_engine_fills_each_signature_once`.
         let stats = (engine.cache().hits(), engine.cache().misses());
         assert_eq!(stats.0 + stats.1, 6);
         assert_eq!(engine.cache().len(), 2);
@@ -473,6 +517,50 @@ mod tests {
         let warm = engine.evaluate_network(&net, &rep).unwrap();
         assert_eq!(sequential, warm);
         assert_eq!(engine.cache().hits(), stats.0 + 6);
+    }
+
+    #[test]
+    fn fresh_engine_fills_each_signature_once() {
+        let m = base_macro().uncalibrated();
+        let evaluator = m.raw_evaluator().unwrap();
+        let rep = m.representation();
+        let net = stack(12);
+        let (layers, distinct) = (12, 2);
+        let sequential = evaluator.evaluate(&net, &rep).unwrap();
+        for threads in [1, 4] {
+            let engine = NetworkEngine::new(&evaluator).with_threads(threads);
+            let report = engine.evaluate_network(&net, &rep).unwrap();
+            assert_eq!(report, sequential, "threads = {threads}");
+            let cache = engine.cache();
+            assert_eq!(cache.misses(), distinct, "threads = {threads}");
+            assert_eq!(cache.hits(), layers - distinct, "threads = {threads}");
+            assert_eq!(cache.stats_misses(), distinct, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn table_error_is_returned_at_any_thread_count() {
+        let m = base_macro().uncalibrated();
+        let evaluator = m.raw_evaluator().unwrap();
+        let rep = m.representation();
+        let mut layers = stack(6).layers().to_vec();
+        layers[4] = layers[4].clone().with_input_bits(0);
+        let net = cimloop_workload::Workload::new("broken", layers).unwrap();
+        let sequential = evaluator.evaluate(&net, &rep).unwrap_err();
+        assert!(matches!(sequential, CoreError::Workload(_)), "{sequential}");
+        for threads in [1, 4] {
+            let engine = NetworkEngine::new(&evaluator).with_threads(threads);
+            let err = engine.evaluate_network(&net, &rep).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Workload(_)),
+                "threads = {threads}: {err}"
+            );
+            assert_eq!(
+                err.to_string(),
+                sequential.to_string(),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

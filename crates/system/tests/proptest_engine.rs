@@ -80,6 +80,11 @@ proptest! {
         let engine = NetworkEngine::new(evaluator).with_threads(4);
         let parallel = engine.evaluate_network(&net, rep).expect("parallel");
         prop_assert_eq!(&sequential, &parallel);
+        // Each distinct signature is filled exactly once, even at 4 threads.
+        let (layers, distinct) = (net.layers().len() as u64, engine.cache().len() as u64);
+        prop_assert_eq!(engine.cache().misses(), distinct);
+        prop_assert_eq!(engine.cache().hits(), layers - distinct);
+        prop_assert_eq!(engine.cache().stats_misses(), distinct);
         // A second sweep through the warmed engine is also identical.
         let again = engine.evaluate_network(&net, rep).expect("warm");
         prop_assert_eq!(&sequential, &again);
