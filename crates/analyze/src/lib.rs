@@ -10,8 +10,9 @@
 //! hazard patterns that have historically broken reproducibility in
 //! Timeloop/Accelergy-class tools: unordered hash iteration feeding
 //! reports (D001), wall-clock reads in result paths (D002), unordered
-//! float reduction under threads (D003), panics in the serve/evaluator
-//! path (P001), and computation under a held lock (L001).
+//! float reduction under threads (D003), toolchain-dependent hashers
+//! behind identities (D004), panics in the serve/evaluator path (P001),
+//! and computation under a held lock (L001).
 //!
 //! Output is sorted by (file, line, rule) and byte-deterministic under
 //! input-order shuffling; findings can be suppressed with
@@ -312,7 +313,7 @@ OPTIONS:
                          any new or stale entry
   --write-baseline FILE  write the current JSON report as the new baseline
   --explain RULE         print the contract a rule guards (D001, D002,
-                         D003, P001, L001, A001, A002)
+                         D003, D004, P001, L001, A001, A002)
 
 EXIT CODES:
   0  no findings (or report matches the baseline exactly)

@@ -25,10 +25,12 @@ const P001_FILES: [&str; 5] = [
 
 /// Rule IDs a pragma may name. A001/A002 guard the pragma mechanism
 /// itself and cannot be suppressed.
-pub const ALLOWABLE_RULES: [&str; 5] = ["D001", "D002", "D003", "P001", "L001"];
+pub const ALLOWABLE_RULES: [&str; 6] = ["D001", "D002", "D003", "D004", "P001", "L001"];
 
 /// All rule IDs, for `--explain` and fixture coverage checks.
-pub const ALL_RULES: [&str; 7] = ["D001", "D002", "D003", "P001", "L001", "A001", "A002"];
+pub const ALL_RULES: [&str; 8] = [
+    "D001", "D002", "D003", "D004", "P001", "L001", "A001", "A002",
+];
 
 /// The contract each rule guards, printed by `--explain <rule>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
@@ -70,6 +72,19 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              chunk order, marking the reduction with a `chunk-order merge`\n\
              comment near the scope (the marker suppresses this rule).\n\
              Integer counters (`n += 1`) are exempt."
+        }
+        "D004" => {
+            "D004 - toolchain-dependent hashers in first-party source\n\
+             \n\
+             Contract: persisted and compared identities (checkpoint space\n\
+             fingerprints, energy-table cache keys, staged-DSE twin classes)\n\
+             are the same on every platform and Rust release. std's\n\
+             DefaultHasher leaves its algorithm unspecified across releases,\n\
+             and RandomState seeds it per process, so any identity built on\n\
+             them can change under a toolchain update or between runs.\n\
+             Fix: encode the fields with cimloop_spec::stable::StableBytes\n\
+             and compare the bytes, or digest them with\n\
+             cimloop_spec::stable::fnv1a64. Test code is exempt."
         }
         "P001" => {
             "P001 - unwrap()/expect() in panic-policy files\n\
@@ -116,6 +131,7 @@ fn hint_for(rule: &str) -> &'static str {
         "D001" => "use BTreeMap/BTreeSet or a sorted merge; allow(D001, reason = ...) only if order cannot reach output",
         "D002" => "move timing into crates/bench or pass it in as data; results must not depend on the clock",
         "D003" => "collect per-chunk partials, merge after the scope in chunk order, and mark it with a `chunk-order merge` comment",
+        "D004" => "encode fields with cimloop_spec::stable::StableBytes; digest with cimloop_spec::stable::fnv1a64",
         "P001" => "propagate with `?`/ok_or_else, or recover lock poison via PoisonError::into_inner",
         "L001" => "compute into a local first; take the lock only to insert or read",
         "A001" => "write `// cimloop-analyze: allow(RULE, reason = \"why this is safe\")`",
@@ -426,6 +442,7 @@ pub fn analyze_lines(rel: &str, lines: &[SourceLine]) -> (Vec<Finding>, Vec<Allo
     rule_d001(rel, lines, &mask, &mut raws);
     rule_d002(rel, lines, &mask, &mut raws);
     rule_d003(rel, lines, &mask, &mut raws);
+    rule_d004(lines, &mask, &mut raws);
     rule_p001(rel, lines, &mask, &mut raws);
     rule_l001(lines, &mask, &mut raws);
 
@@ -620,6 +637,28 @@ fn rule_d003(_rel: &str, lines: &[SourceLine], mask: &[bool], raws: &mut Vec<Raw
                         rule: "D003",
                         line: si,
                         message: "float accumulation inside a thread spawn/scope block without a chunk-order merge marker".to_owned(),
+                    },
+                );
+            }
+        }
+    }
+}
+
+fn rule_d004(lines: &[SourceLine], mask: &[bool], raws: &mut Vec<Raw>) {
+    for (li, line) in lines.iter().enumerate() {
+        if mask[li] {
+            continue;
+        }
+        for ident in ["DefaultHasher", "RandomState"] {
+            if has_ident(&line.code, ident) {
+                dedup_push(
+                    raws,
+                    Raw {
+                        rule: "D004",
+                        line: li,
+                        message: format!(
+                            "`{ident}`: std's hasher is not stable across toolchains (or, seeded, across runs)"
+                        ),
                     },
                 );
             }

@@ -100,6 +100,11 @@ fn d003_fires_with_exemptions_marker_and_pragma() {
 }
 
 #[test]
+fn d004_fires_on_std_hashers_and_pragma_suppresses() {
+    check_fixture("d004.rs");
+}
+
+#[test]
 fn p001_fires_and_pragma_suppresses() {
     check_fixture("p001.rs");
 }

@@ -8,7 +8,7 @@
 //!
 //! 1. **Full staged sweep** — the whole grid (115 200 candidates; 11 520
 //!    in quick mode) under the ADC-coverage objective. The staged
-//!    pre-pass collapses the noise axis by configuration fingerprint, so
+//!    pre-pass collapses the noise axis by grid index, so
 //!    the sweep completes in ~96 full evaluations; the naive path at
 //!    this scale would need all ~10^5.
 //! 2. **Subsampled identity check** — a deterministic stride keeps ~1 in
@@ -70,8 +70,8 @@ fn main() {
     let t_full = start.elapsed().as_secs_f64();
     assert!(full.completed, "the staged sweep must cover the whole grid");
     println!(
-        "staged full sweep: {} candidates -> {} full evaluations ({} pruned by \
-         fingerprint) in {t_full:.1}s; front holds {} designs",
+        "staged full sweep: {} candidates -> {} full evaluations ({} pruned as \
+         twins) in {t_full:.1}s; front holds {} designs",
         space.grid_len(),
         full.evaluated,
         full.pruned,

@@ -16,6 +16,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use cimloop_spec::stable::fnv1a64;
+
 /// `(file, fnv1a64 hash, length in bytes)` for every enforced golden.
 ///
 /// `network_sweep.tsv` pins the *tiny* model's deterministic record (the
@@ -52,17 +54,6 @@ const GOLDENS: [(&str, u64, usize); 23] = [
     ("table02.tsv", 0x43f49c10dce83097, 343),
     ("table03.tsv", 0x491da45eba33e8f6, 235),
 ];
-
-/// FNV-1a, 64-bit: stable across platforms and Rust versions (unlike
-/// `DefaultHasher`, whose algorithm is unspecified).
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

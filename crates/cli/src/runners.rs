@@ -303,11 +303,11 @@ fn explorer_for(doc: &ScenarioDoc) -> Result<Explorer, CliError> {
     Ok(Explorer::new().with_accuracy(accuracy).with_scope(scope))
 }
 
-fn checkpoint_error(e: CheckpointError) -> CliError {
-    match e {
-        CheckpointError::Spec(e) => CliError::Spec(e),
-        other => CliError::usage(other.to_string()),
-    }
+/// A checkpoint failure as a CLI error that names the checkpoint file:
+/// the caller reports errors under the scenario's path, so a bare line
+/// number would point into the wrong file.
+fn checkpoint_error(path: &std::path::Path) -> impl Fn(CheckpointError) -> CliError + '_ {
+    move |e| CliError::usage(format!("checkpoint {}: {e}", path.display()))
 }
 
 /// The Pareto-front TSV every dse-flavoured path (batch, staged,
@@ -428,11 +428,11 @@ pub fn dse_with(
             ));
         };
         if path.exists() {
-            let checkpoint = Checkpoint::load(path).map_err(checkpoint_error)?;
+            let checkpoint = Checkpoint::load(path).map_err(checkpoint_error(path))?;
             plan.resume = Some(
                 checkpoint
                     .resume_state(&space, explorer.accuracy())
-                    .map_err(checkpoint_error)?,
+                    .map_err(checkpoint_error(path))?,
             );
         }
     }
@@ -458,7 +458,7 @@ pub fn dse_with(
     if let Some(path) = &opts.checkpoint {
         let checkpoint =
             Checkpoint::capture(doc.name()?, &space, explorer.accuracy(), &exploration);
-        checkpoint.save(path).map_err(checkpoint_error)?;
+        checkpoint.save(path).map_err(checkpoint_error(path))?;
         println!(
             "  checkpoint: {} ({} processed, {} on front)",
             path.display(),
@@ -475,7 +475,7 @@ pub fn dse_with(
 fn report_sweep(exploration: &Exploration, plan: &SweepPlan) {
     let mut notes = Vec::new();
     if exploration.pruned > 0 {
-        notes.push(format!("{} pruned by fingerprint", exploration.pruned));
+        notes.push(format!("{} pruned as twins", exploration.pruned));
     }
     if exploration.screened > 0 {
         notes.push(format!("{} screened by constraints", exploration.screened));
@@ -530,10 +530,10 @@ pub fn merge_fronts(
     let mut front = ParetoFront::new();
     let mut processed = 0usize;
     for path in checkpoints {
-        let checkpoint = Checkpoint::load(path).map_err(checkpoint_error)?;
+        let checkpoint = Checkpoint::load(path).map_err(checkpoint_error(path))?;
         let state = checkpoint
             .resume_state(&space, explorer.accuracy())
-            .map_err(checkpoint_error)?;
+            .map_err(checkpoint_error(path))?;
         processed += state.processed.len();
         front.merge(state.front);
     }

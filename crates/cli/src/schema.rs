@@ -29,7 +29,7 @@ cimloop_spec::reflect_section! {
         scope: [str] = "macro", "evaluation scope: macro or system";
         storage: [str] = "weight_stationary", "system storage scenario: all_dram, weight_stationary, or io_on_chip";
         accuracy: [str] = "snr", "design-exploration accuracy objective: snr, adc_coverage, or task_accuracy";
-        staged: [bool] = false, "dse: enable the staged pre-pass (fingerprint dedup + cheap screens) — the front is bit-identical either way";
+        staged: [bool] = false, "dse: enable the staged pre-pass (twin pruning + cheap screens) — the front is bit-identical either way";
         exact_layers: [u64] = 3, "speed_record: value-exact simulated layer count (from the network's end)";
         search_layers: [u64] = 4, "speed_record: layers covered by the mapping search";
         mappings_per_layer: [u64] = 5000, "speed_record: mapping-search candidate limit per layer";

@@ -69,7 +69,7 @@ use crate::{run_scenario_with, CliError, RunContext};
 
 /// How often waiting loops wake to poll for disconnects and shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Largest accepted request body; a scenario document is a few KiB.
+/// Largest frame body either side accepts; specs and TSVs are a few KiB.
 const MAX_BODY_BYTES: u64 = 4 * 1024 * 1024;
 /// How long a client may stall mid-body before the request is dropped.
 const BODY_DEADLINE: Duration = Duration::from_secs(10);
@@ -734,6 +734,17 @@ pub mod client {
                     format!("malformed response length in `{header}`"),
                 )
             })?;
+            // The length comes off the wire: refuse anything past the
+            // daemon's own body cap before allocating for it.
+            if len as u64 > MAX_BODY_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "response header `{header}` announces {len} bytes, over the \
+                         {MAX_BODY_BYTES}-byte frame cap"
+                    ),
+                ));
+            }
             // A daemon dying mid-response leaves a short body behind the
             // header; a bare `read_exact` would surface only "failed to
             // fill whole buffer". Count what actually arrived so a torn
@@ -918,6 +929,22 @@ mod tests {
         assert!(
             message.contains("promised 100 bytes") && message.contains("after 12"),
             "torn-frame error must name expected/received counts, got `{message}`"
+        );
+    }
+
+    #[test]
+    fn client_refuses_an_oversized_response_length_before_allocating() {
+        // Regression: the client used to allocate whatever length the
+        // response header announced.
+        let addr = truncating_server(b"OK 18446744073709551615 x\n");
+        let mut client = client::Client::connect(addr).expect("connect");
+        let err = client
+            .run(TINY_SPEC)
+            .expect_err("oversized frame must error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("18446744073709551615 bytes"),
+            "got `{err}`"
         );
     }
 

@@ -38,6 +38,13 @@ pub enum CoreError {
         /// Why the space is empty.
         message: String,
     },
+    /// A hierarchy component has no built circuit model in its
+    /// evaluator (every component gets one at construction, so this is
+    /// an internal inconsistency, reported instead of panicking).
+    MissingModel {
+        /// Name of the component without a model.
+        component: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -57,6 +64,9 @@ impl fmt::Display for CoreError {
             CoreError::EmptySpace { message } => {
                 write!(f, "empty design space: {message}")
             }
+            CoreError::MissingModel { component } => {
+                write!(f, "component `{component}` has no circuit model")
+            }
         }
     }
 }
@@ -69,7 +79,9 @@ impl Error for CoreError {
             CoreError::Circuit { source, .. } => Some(source),
             CoreError::Workload(e) => Some(e),
             CoreError::Stats(e) => Some(e),
-            CoreError::Representation { .. } | CoreError::EmptySpace { .. } => None,
+            CoreError::Representation { .. }
+            | CoreError::EmptySpace { .. }
+            | CoreError::MissingModel { .. } => None,
         }
     }
 }

@@ -9,7 +9,6 @@
 //! mappings (Table II's amortization).
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use cimloop_circuits::{BoxedModel, Library, ValueContext};
@@ -420,6 +419,7 @@ impl AreaReport {
 pub struct Evaluator {
     hierarchy: Hierarchy,
     models: BTreeMap<String, BoxedModel>,
+    area: AreaReport,
     mapper: Mapper,
     hierarchy_fingerprint: u64,
     reduction_rows: u64,
@@ -455,10 +455,10 @@ impl Evaluator {
             models.insert(component.name().to_owned(), model);
         }
         // Fingerprint the full spec (serialized form) so energy-table
-        // cache entries from different hierarchies can never collide.
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        cimloop_spec::yamlite::write(&hierarchy).hash(&mut hasher);
-        let hierarchy_fingerprint = hasher.finish();
+        // cache entries from different hierarchies never share a key.
+        let hierarchy_fingerprint =
+            cimloop_spec::stable::fnv1a64(cimloop_spec::yamlite::write(&hierarchy).as_bytes());
+        let area = area_of(&hierarchy, &models)?;
         let reduction_rows = reduction_rows_of(&hierarchy);
 
         // Resolve the macro-level noise spec from the per-component
@@ -486,6 +486,7 @@ impl Evaluator {
         Ok(Evaluator {
             hierarchy,
             models,
+            area,
             mapper: Mapper::default(),
             hierarchy_fingerprint,
             reduction_rows,
@@ -566,17 +567,17 @@ impl Evaluator {
         rep: &Representation,
     ) -> Result<ActionEnergyTable, CoreError> {
         let pipeline = Pipeline::new(&self.hierarchy, layer, rep)?;
-        Ok(self.table_from_pipeline(&pipeline))
+        self.table_from_pipeline(&pipeline)
     }
 
     /// The component-model reduction of Algorithm 1's line 7: folds a
     /// built [`Pipeline`] into per-action energies. Shared verbatim by the
     /// cached and uncached paths so their tables are bit-identical.
-    fn table_from_pipeline(&self, pipeline: &Pipeline) -> ActionEnergyTable {
+    fn table_from_pipeline(&self, pipeline: &Pipeline) -> Result<ActionEnergyTable, CoreError> {
         let mut entries = BTreeMap::new();
         let mut cycle_time = 0.0f64;
         for component in self.hierarchy.components() {
-            let model = &self.models[component.name()];
+            let model = model_in(&self.models, component.name())?;
             let mut per_tensor = [ActionEnergy::default(); 3];
             for tensor in Tensor::ALL {
                 if !component.reuse(tensor).is_active() {
@@ -615,12 +616,12 @@ impl Evaluator {
         } else {
             None
         };
-        ActionEnergyTable {
+        Ok(ActionEnergyTable {
             entries,
             cycle_time,
             cycle_time_defaulted,
             noise,
-        }
+        })
     }
 
     /// Algorithm 1, lines 9–10: evaluates one mapping against a
@@ -647,7 +648,7 @@ impl Evaluator {
                 continue;
             };
             let name = component.name();
-            let model = &self.models[name];
+            let model = model_in(&self.models, name)?;
             let mut energy = 0.0;
             let mut reads = 0.0;
             let mut writes = 0.0;
@@ -715,7 +716,7 @@ impl Evaluator {
                 || ValueStats::compute(layer, rep, self.reduction_rows),
             )?;
             let pipeline = Pipeline::from_stats(&self.hierarchy, stats);
-            Ok(self.table_from_pipeline(&pipeline))
+            self.table_from_pipeline(&pipeline)
         })
     }
 
@@ -790,23 +791,10 @@ impl Evaluator {
         Ok(RunReport::from_layer_reports(workload.name(), layers))
     }
 
-    /// Per-component and total area of the hierarchy.
+    /// Per-component and total area of the hierarchy (computed once, at
+    /// construction).
     pub fn area(&self) -> AreaReport {
-        let components = self
-            .hierarchy
-            .levels()
-            .iter()
-            .filter_map(|level| {
-                let component = level.node().as_component()?;
-                let model = &self.models[component.name()];
-                Some((
-                    component.name().to_owned(),
-                    level.instances(),
-                    model.area() * level.instances() as f64,
-                ))
-            })
-            .collect();
-        AreaReport { components }
+        self.area.clone()
     }
 
     /// The design's cheap pre-metrics: every quantity available from the
@@ -816,7 +804,7 @@ impl Evaluator {
     /// structural validity) before any `Pipeline` runs.
     pub fn cheap_metrics(&self) -> CheapMetrics {
         CheapMetrics {
-            area_mm2: self.area().total_mm2(),
+            area_mm2: self.area.total_mm2(),
             output_adc_bits: self.output_adc_bits,
             hierarchy_fingerprint: self.hierarchy_fingerprint,
         }
@@ -836,6 +824,39 @@ impl Evaluator {
             .map(|m| m.read_energy(ctx))
             .unwrap_or(0.0)
     }
+}
+
+/// The model [`Evaluator::new`] built for `component`, or a typed error
+/// naming it.
+fn model_in<'a>(
+    models: &'a BTreeMap<String, BoxedModel>,
+    component: &str,
+) -> Result<&'a BoxedModel, CoreError> {
+    models
+        .get(component)
+        .ok_or_else(|| CoreError::MissingModel {
+            component: component.to_owned(),
+        })
+}
+
+/// Per-component and total area of `hierarchy` under its built `models`.
+fn area_of(
+    hierarchy: &Hierarchy,
+    models: &BTreeMap<String, BoxedModel>,
+) -> Result<AreaReport, CoreError> {
+    let mut components = Vec::new();
+    for level in hierarchy.levels() {
+        let Some(component) = level.node().as_component() else {
+            continue;
+        };
+        let model = model_in(models, component.name())?;
+        components.push((
+            component.name().to_owned(),
+            level.instances(),
+            model.area() * level.instances() as f64,
+        ));
+    }
+    Ok(AreaReport { components })
 }
 
 /// Whether a component acts every macro cycle (and thus bounds cycle time).
@@ -941,6 +962,35 @@ slice_storage: true
             }
             other => panic!("unexpected error {other}"),
         }
+    }
+
+    #[test]
+    fn a_component_without_a_model_is_a_typed_error() {
+        // Regression: table building indexed the model map and panicked
+        // on a miss; it must name the component instead.
+        let mut e = Evaluator::new(base_macro(16, 16, 8)).unwrap();
+        assert!(e.models.remove("ADC").is_some());
+        match e.action_energies(&small_layer(), &rep()) {
+            Err(CoreError::MissingModel { component }) => assert_eq!(component, "ADC"),
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("a component without a model must not build a table"),
+        }
+    }
+
+    #[test]
+    fn hierarchy_fingerprint_is_pinned() {
+        // FNV-1a-64 of the canonical yamlite text: the same value on
+        // every platform and Rust release.
+        let e = Evaluator::new(base_macro(64, 64, 8)).unwrap();
+        let text = cimloop_spec::yamlite::write(e.hierarchy());
+        assert_eq!(
+            e.cheap_metrics().hierarchy_fingerprint,
+            cimloop_spec::stable::fnv1a64(text.as_bytes())
+        );
+        assert_eq!(
+            e.cheap_metrics().hierarchy_fingerprint,
+            0x0afe_25e5_a334_741d
+        );
     }
 
     #[cfg(debug_assertions)]

@@ -25,8 +25,11 @@ use crate::explorer::{AccuracyObjective, DesignReport, Exploration, SweepState};
 use crate::pareto::ParetoFront;
 use crate::space::DesignSpace;
 
-/// The checkpoint format version this build reads and writes.
-const VERSION: u64 = 1;
+/// The checkpoint format version this build reads and writes. Version 2
+/// made the `space:` fingerprint toolchain-stable (FNV-1a over a
+/// field-by-field encoding); version 1 fingerprints came from `std`'s
+/// unspecified hasher and cannot be checked, so v1 files are refused.
+const VERSION: u64 = 2;
 
 /// A persisted sweep state, decoupled from any live [`DesignSpace`]
 /// (front members are stored by design id and re-materialized through
@@ -242,9 +245,10 @@ impl Checkpoint {
     /// # Errors
     ///
     /// [`CheckpointError::Mismatch`] when the document is not a
-    /// checkpoint (wrong experiment, missing `!Checkpoint` section,
-    /// unknown version) and [`CheckpointError::Spec`] on malformed
-    /// fields.
+    /// checkpoint (wrong experiment, missing `!Checkpoint` section),
+    /// [`CheckpointError::Version`] for any format version but the
+    /// current one (citing the `version:` line), and
+    /// [`CheckpointError::Spec`] on malformed fields.
     pub fn from_doc(doc: &ScenarioDoc) -> Result<Self, CheckpointError> {
         if doc.experiment() != "checkpoint" {
             return Err(CheckpointError::Mismatch {
@@ -262,10 +266,9 @@ impl Checkpoint {
             })?;
         let version = req_u64(header, "version")?;
         if version != VERSION {
-            return Err(CheckpointError::Mismatch {
-                message: format!(
-                    "unsupported checkpoint version {version} (this build reads {VERSION})"
-                ),
+            return Err(CheckpointError::Version {
+                line: header.get("version").map_or(header.line(), |e| e.line),
+                found: version,
             });
         }
         let space_fingerprint = req_u64(header, "space")?;
@@ -383,10 +386,18 @@ pub enum CheckpointError {
     /// The file is not a structurally valid checkpoint document.
     Spec(SpecError),
     /// The checkpoint does not match the sweep being resumed (different
-    /// space, accuracy objective, or format version).
+    /// space or accuracy objective).
     Mismatch {
         /// What differs.
         message: String,
+    },
+    /// The file declares a checkpoint format version this build does not
+    /// read.
+    Version {
+        /// Line of the `version:` entry.
+        line: usize,
+        /// The declared version.
+        found: u64,
     },
 }
 
@@ -398,6 +409,17 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Mismatch { message } => {
                 write!(f, "checkpoint mismatch: {message}")
             }
+            CheckpointError::Version { line, found: 1 } => write!(
+                f,
+                "line {line}: `version: 1` checkpoint is no longer readable: space \
+                 fingerprints became toolchain-stable in format 2, so a version 1 \
+                 fingerprint cannot be checked; re-run the sweep to write a fresh checkpoint"
+            ),
+            CheckpointError::Version { line, found } => write!(
+                f,
+                "line {line}: unsupported checkpoint `version: {found}` (this build reads \
+                 {VERSION})"
+            ),
         }
     }
 }
@@ -407,7 +429,7 @@ impl std::error::Error for CheckpointError {
         match self {
             CheckpointError::Io(e) => Some(e),
             CheckpointError::Spec(e) => Some(e),
-            CheckpointError::Mismatch { .. } => None,
+            CheckpointError::Mismatch { .. } | CheckpointError::Version { .. } => None,
         }
     }
 }

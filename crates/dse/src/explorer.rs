@@ -22,9 +22,11 @@
 //! core without changing the resulting front:
 //!
 //! - **Staged evaluation** (`staged`): a cheap stage-one pass prunes
-//!   objective-equivalent duplicate configurations by fingerprint and
-//!   screens candidates against the space's declared area/coverage
-//!   constraints before any value statistics are computed.
+//!   objective-equivalent duplicate configurations (exact byte keys,
+//!   with the noise axis collapsed by grid index where noise cannot move
+//!   an objective, see [`DesignSpace::candidates`]) and screens
+//!   candidates against the space's declared area/coverage constraints
+//!   before any value statistics are computed.
 //! - **Budgeted runs + resume** (`max_evaluations`, `resume`): a budget
 //!   deterministically claims a prefix of the remaining candidates; the
 //!   resulting [`Exploration::processed`] ids plus front round-trip
@@ -48,7 +50,7 @@ use cimloop_workload::Workload;
 
 use crate::pareto::{Objectives, ParetoFront};
 use crate::shard::Shard;
-use crate::space::{DesignPoint, DesignSpace};
+use crate::space::{Dedup, DesignPoint, DesignSpace};
 
 /// What each candidate design is evaluated as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -198,9 +200,10 @@ pub fn accuracy_proxy(m: &ArrayMacro) -> f64 {
 /// [`Explorer::explore`] runs).
 #[derive(Debug, Clone, Default)]
 pub struct SweepPlan {
-    /// Enables the stage-one pre-pass: fingerprint deduplication of
-    /// objective-equivalent configurations, plus the cheap
-    /// area/coverage screens of the space (which apply regardless).
+    /// Enables the stage-one pre-pass: exact twin pruning of
+    /// objective-equivalent configurations ([`DesignSpace::candidates`]),
+    /// plus the cheap area/coverage screens of the space (which apply
+    /// regardless).
     pub staged: bool,
     /// Restricts the run to one shard of the filtered candidate list
     /// (candidate `i` belongs to shard `i % count`). An empty shard is
@@ -244,8 +247,8 @@ pub struct Exploration {
     /// How many candidates the cheap stage-one constraints screened out
     /// this run (evaluator built, no value statistics).
     pub screened: usize,
-    /// How many candidates stage-one fingerprint deduplication pruned
-    /// this run (no evaluator built at all). Always 0 unless
+    /// How many candidates stage-one twin pruning removed this run (no
+    /// evaluator built at all). Always 0 unless
     /// [`SweepPlan::staged`] is set.
     pub pruned: usize,
     /// Ids of every processed candidate — this run's plus any resumed
@@ -428,7 +431,28 @@ impl Explorer {
         plan: &SweepPlan,
         sink: impl Fn(&DesignReport) + Sync,
     ) -> Result<Exploration, CoreError> {
-        let mut candidates = space.designs();
+        // Stage one, part A: twin pruning. Designs with equal
+        // configurations score identical objectives, so only the
+        // smallest-id representative of each class can survive the
+        // front's equal-twin rule — prune the rest before building
+        // anything. Under the SNR objectives the noise spec is part of the
+        // class; under ADC coverage noise provably changes no objective,
+        // so noise twins collapse too, by grid index. Pruning runs on the
+        // full (sharded) list *before* the resume skip so the class
+        // representative never shifts between a run and its resume.
+        let dedup = if !plan.staged {
+            Dedup::Off
+        } else if matches!(
+            self.accuracy,
+            AccuracyObjective::OutputSnr | AccuracyObjective::TaskAccuracy
+        ) {
+            Dedup::WithNoise
+        } else {
+            Dedup::NoiseBlind
+        };
+        let (mut candidates, pruned) = space.candidates(plan.shard, dedup);
+        // Pruning keeps the first admitted candidate, so an empty list
+        // means the filtered grid itself is empty.
         if candidates.is_empty() && plan.shard.is_none() {
             let message = if space.grid_len() == 0 {
                 "the space declares no design variants".to_owned()
@@ -439,40 +463,6 @@ impl Explorer {
                 )
             };
             return Err(CoreError::EmptySpace { message });
-        }
-        if let Some(shard) = plan.shard {
-            candidates = candidates
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| i % shard.count() == shard.index())
-                .map(|(_, p)| p)
-                .collect();
-        }
-
-        // Stage one, part A: fingerprint deduplication. Designs with equal
-        // configuration fingerprints score identical objectives, so only
-        // the smallest-id representative of each class can survive the
-        // front's equal-twin rule — prune the rest before building
-        // anything. Under the SNR objective the noise spec participates in
-        // the class key; under ADC coverage, noise provably changes no
-        // objective, so noise-twin designs collapse too. Dedup runs on the
-        // full (sharded) list *before* the resume skip so the class
-        // representative never shifts between a run and its resume.
-        let mut pruned = 0usize;
-        if plan.staged {
-            let include_noise = matches!(
-                self.accuracy,
-                AccuracyObjective::OutputSnr | AccuracyObjective::TaskAccuracy
-            );
-            let mut seen = std::collections::BTreeSet::new();
-            candidates.retain(|p| {
-                if seen.insert(p.cim_macro().config_fingerprint(include_noise)) {
-                    true
-                } else {
-                    pruned += 1;
-                    false
-                }
-            });
         }
 
         let mut prior: Vec<u64> = Vec::new();

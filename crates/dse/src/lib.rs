@@ -27,7 +27,7 @@
 //!
 //! Production-scale sweeps (10⁵+ designs) add, on the same streaming
 //! core and with the same bit-identity guarantee: staged evaluation
-//! with fingerprint-based dominance pruning, deterministic evaluation
+//! with exact twin pruning on configuration keys, deterministic evaluation
 //! budgets with [`Checkpoint`] save/resume, and [`Shard`]ed fan-out
 //! whose per-shard fronts merge back byte-identically (see
 //! [`Explorer::sweep`] and [`SweepPlan`]).
@@ -69,7 +69,7 @@ pub use explorer::{
 };
 pub use pareto::{FrontMember, Objectives, ParetoFront};
 pub use shard::{Shard, ShardError};
-pub use space::{DesignPoint, DesignSpace, SpaceSection};
+pub use space::{Dedup, DesignPoint, DesignSpace, SpaceSection};
 
 // Noise-spec axes parameterize variation-tolerance sweeps; re-exported so
 // DSE callers need no direct `cimloop-noise` dependency.

@@ -7,10 +7,14 @@
 //! the explorer uses for deterministic ordering and Pareto tie-breaking:
 //! adding a filter never renumbers the surviving designs.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cimloop_macros::ArrayMacro;
 use cimloop_noise::NoiseSpec;
+use cimloop_spec::stable::StableBytes;
+
+use crate::shard::Shard;
 
 cimloop_spec::reflect_section! {
     /// The reflected schema of a `!Space` scenario section: the
@@ -399,37 +403,121 @@ impl DesignSpace {
     /// Design *points* are small configuration records — it is the
     /// evaluation *reports* that a streaming exploration avoids holding.
     pub fn designs(&self) -> Vec<DesignPoint> {
-        (0..self.grid_len() as u64)
-            .filter_map(|id| self.point_at(id))
-            .filter(|point| self.admits(point))
-            .collect()
+        self.candidates(None, Dedup::Off).0
+    }
+
+    /// The candidate list of one sweep, in id order, and how many
+    /// candidates `dedup` pruned as objective-equivalent twins.
+    ///
+    /// Ids are visited in order. The user [`DesignSpace::filter`] drops a
+    /// design outright (neither kept nor pruned); `shard` keeps the
+    /// admitted candidates whose position in the filtered list falls in
+    /// it. Among those, the first member of each twin class (the smallest
+    /// id) is kept and the rest are counted as pruned.
+    ///
+    /// Under [`Dedup::NoiseBlind`] the pass works on grid indices: the
+    /// noise axis is innermost and applied last (through
+    /// [`ArrayMacro::with_noise`], which replaces only the noise spec), so
+    /// ids sharing `id / noise_axis_len` differ at most in noise and fall
+    /// in one class. Only the first admitted id of each such tuple is
+    /// built (without a filter) and compared byte-exactly against the
+    /// earlier representatives; the others are pruned unbuilt.
+    pub fn candidates(&self, shard: Option<Shard>, dedup: Dedup) -> (Vec<DesignPoint>, usize) {
+        let noise_len = self.noise_specs.len().max(1) as u64;
+        let mut kept = Vec::new();
+        let mut pruned = 0usize;
+        let mut classes = BTreeSet::new();
+        let mut admitted = 0usize;
+        let mut last_tuple = None;
+        for id in 0..self.grid_len() as u64 {
+            let mut built = None;
+            if let Some(keep) = &self.filter {
+                let Some(point) = self.point_at(id) else {
+                    break;
+                };
+                if !keep(&point) {
+                    continue;
+                }
+                built = Some(point);
+            }
+            let position = admitted;
+            admitted += 1;
+            if shard.is_some_and(|s| position % s.count() != s.index()) {
+                continue;
+            }
+            if dedup == Dedup::NoiseBlind {
+                let tuple = id / noise_len;
+                if last_tuple == Some(tuple) {
+                    pruned += 1;
+                    continue;
+                }
+                last_tuple = Some(tuple);
+            }
+            let Some(point) = built.or_else(|| self.point_at(id)) else {
+                break;
+            };
+            if dedup != Dedup::Off
+                && !classes.insert(point.cim_macro().config_bytes(dedup == Dedup::WithNoise))
+            {
+                pruned += 1;
+                continue;
+            }
+            kept.push(point);
+        }
+        (kept, pruned)
     }
 
     /// A stable structural fingerprint of the space: variant names and
     /// configurations (noise included), every axis value list, and the
-    /// stage-one constraints. Checkpoints embed this so a resume against a
-    /// *different* space is rejected instead of silently misnumbering ids.
+    /// stage-one constraints, encoded field by field
+    /// ([`cimloop_spec::stable`]) and digested with FNV-1a-64, so the
+    /// value is the same on every platform and toolchain. Checkpoints
+    /// embed this so a resume against a *different* space is rejected
+    /// instead of silently misnumbering ids.
     ///
     /// The user [`DesignSpace::filter`] closure cannot be fingerprinted;
     /// two spaces differing only in their filter hash identically.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut out = StableBytes::new();
+        out.count(self.variants.len());
         for (name, base) in &self.variants {
-            name.hash(&mut hasher);
-            base.config_fingerprint(true).hash(&mut hasher);
+            out.str(name).bytes_field(&base.config_bytes(true));
         }
-        self.array_sizes.hash(&mut hasher);
-        self.dac_bits.hash(&mut hasher);
-        self.adc_bits.hash(&mut hasher);
-        self.cell_bits.hash(&mut hasher);
+        out.count(self.array_sizes.len());
+        for &(rows, cols) in &self.array_sizes {
+            out.u64(rows).u64(cols);
+        }
+        for bits in [&self.dac_bits, &self.adc_bits, &self.cell_bits] {
+            out.count(bits.len());
+            for &b in bits {
+                out.u32(b);
+            }
+        }
+        out.count(self.noise_specs.len());
         for spec in &self.noise_specs {
-            format!("{spec:?}").hash(&mut hasher);
+            for bits in spec.signature_bits() {
+                out.u64(bits);
+            }
         }
-        self.max_area_mm2.map(f64::to_bits).hash(&mut hasher);
-        self.min_coverage.map(f64::to_bits).hash(&mut hasher);
-        hasher.finish()
+        out.opt_f64(self.max_area_mm2).opt_f64(self.min_coverage);
+        out.fingerprint()
     }
+}
+
+/// Which candidates [`DesignSpace::candidates`] prunes as twins: designs
+/// whose configurations are equal under the rule score identical
+/// objectives, so only the smallest-id member of each class is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dedup {
+    /// Keep every candidate (unstaged sweeps).
+    Off,
+    /// Twins share their full configuration, noise included (objectives
+    /// that score noise, such as output SNR).
+    WithNoise,
+    /// Twins share their configuration apart from noise (noise-blind
+    /// objectives, such as ADC coverage); the noise axis collapses by
+    /// index without building its points.
+    NoiseBlind,
 }
 
 /// Empty axes keep the variant's own value, expressed as a single `None`

@@ -1,5 +1,6 @@
 use cimloop_core::{CoreError, Encoding, Evaluator, Representation};
 use cimloop_noise::NoiseSpec;
+use cimloop_spec::stable::{fnv1a64, StableBytes};
 use cimloop_spec::{AttrValue, Component, Container, Hierarchy, Reuse, Spatial, Tensor};
 
 use crate::calibrate;
@@ -286,31 +287,119 @@ impl ArrayMacro {
         self
     }
 
-    /// A digest of the macro's complete configuration — every field the
-    /// hierarchy, representation, and evaluation pipeline are derived
-    /// from. Two macros with equal fingerprints produce bit-identical
-    /// hierarchies and therefore bit-identical evaluation results.
+    /// The macro's complete configuration as a canonical byte string —
+    /// every field the hierarchy, representation, and evaluation pipeline
+    /// are derived from, written one by one ([`StableBytes`]: floats as
+    /// bit patterns, strings length-prefixed, enums tagged). Two macros
+    /// with equal encodings produce bit-identical hierarchies and
+    /// therefore bit-identical evaluation results, so the bytes serve as
+    /// an exact, collision-free class key.
     ///
     /// With `include_noise: false` the statistical non-ideality spec is
-    /// excluded, yielding the macro's *energy class*: noise attributes
+    /// skipped, yielding the macro's *energy class*: noise attributes
     /// change only the reported output SNR, never energy, latency, or
     /// area (property-tested in `cimloop-core`), so designs sharing a
-    /// noise-stripped fingerprint are interchangeable on every
-    /// noise-blind objective. The DSE explorer's staged path uses this to
-    /// evaluate one representative per class.
-    pub fn config_fingerprint(&self, include_noise: bool) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        // The derived Debug form covers every configuration field and
-        // renders floats with round-trip precision, so it is a faithful
-        // (if verbose) serialization of the config.
-        if include_noise {
-            format!("{self:?}").hash(&mut hasher);
-        } else {
-            let stripped = self.clone().with_noise(NoiseSpec::ideal());
-            format!("{stripped:?}").hash(&mut hasher);
+    /// noise-blind encoding are interchangeable on every noise-blind
+    /// objective. The DSE explorer's staged path uses this to evaluate
+    /// one representative per class.
+    pub fn config_bytes(&self, include_noise: bool) -> Vec<u8> {
+        // Destructured so that a new field cannot be left out silently.
+        let ArrayMacro {
+            name,
+            node_nm,
+            rows,
+            cols,
+            adc_bits,
+            adc_rate,
+            dac_class,
+            cell_class,
+            dac_bits,
+            cell_bits,
+            input_encoding,
+            weight_encoding,
+            combine,
+            digital_readout,
+            storage_banks,
+            supply_voltage,
+            buffer_entries,
+            energy_scale,
+            latency_scale,
+            component_energy,
+            component_area,
+            calibration,
+            noise,
+            attr_pins,
+        } = self;
+        let mut out = StableBytes::new();
+        out.str(name)
+            .f64(*node_nm)
+            .u64(*rows)
+            .u64(*cols)
+            .u32(*adc_bits)
+            .f64(*adc_rate)
+            .str(dac_class)
+            .str(cell_class)
+            .u32(*dac_bits)
+            .u32(*cell_bits)
+            .tag(encoding_tag(*input_encoding))
+            .tag(encoding_tag(*weight_encoding));
+        match *combine {
+            OutputCombine::None => out.tag(0),
+            OutputCombine::WireSum { columns_per_group } => out.tag(1).u64(columns_per_group),
+            OutputCombine::AnalogAdder { operands } => out.tag(2).u32(operands),
+            OutputCombine::AnalogAccumulator => out.tag(3),
+        };
+        out.bool(*digital_readout)
+            .u64(*storage_banks)
+            .opt_f64(*supply_voltage)
+            .u64(*buffer_entries)
+            .f64(*energy_scale)
+            .f64(*latency_scale);
+        for scales in [component_energy, component_area] {
+            out.count(scales.len());
+            for (component, scale) in scales {
+                out.str(component).f64(*scale);
+            }
         }
-        hasher.finish()
+        match calibration {
+            Some(Anchor {
+                tops_per_watt,
+                gops,
+                input_bits,
+                weight_bits,
+                volts,
+            }) => out
+                .tag(1)
+                .f64(*tops_per_watt)
+                .f64(*gops)
+                .u32(*input_bits)
+                .u32(*weight_bits)
+                .opt_f64(*volts),
+            None => out.tag(0),
+        };
+        if include_noise {
+            for bits in noise.signature_bits() {
+                out.u64(bits);
+            }
+        }
+        out.count(attr_pins.len());
+        for (component, attr, value) in attr_pins {
+            out.str(component).str(attr);
+            match value {
+                AttrValue::Int(v) => out.tag(0).i64(*v),
+                AttrValue::Float(v) => out.tag(1).f64(*v),
+                AttrValue::Bool(v) => out.tag(2).bool(*v),
+                AttrValue::Str(v) => out.tag(3).str(v),
+            };
+        }
+        out.into_bytes()
+    }
+
+    /// FNV-1a-64 of [`Self::config_bytes`]: a compact, toolchain-stable
+    /// digest of the same configuration (see there for `include_noise`).
+    /// Exact comparisons should use the bytes; a digest can collide.
+    pub fn config_fingerprint(&self, include_noise: bool) -> u64 {
+        fnv1a64(&self.config_bytes(include_noise))
     }
 
     /// The macro's name.
@@ -821,9 +910,53 @@ impl ArrayMacro {
     }
 }
 
+/// The [`ArrayMacro::config_bytes`] tag of an operand encoding.
+fn encoding_tag(encoding: Encoding) -> u8 {
+    match encoding {
+        Encoding::TwosComplement => 0,
+        Encoding::Offset => 1,
+        Encoding::Differential => 2,
+        Encoding::SignMagnitude => 3,
+        Encoding::Xnor => 4,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        // FNV-1a-64 of the canonical encoding: the same values on every
+        // platform and Rust release.
+        let m = crate::base_macro();
+        assert_eq!(m.config_fingerprint(true), 0x42f3_cc04_f6fb_38b6);
+        assert_eq!(m.config_fingerprint(false), 0xcc3d_9dfb_ad97_3076);
+        assert_eq!(m.config_fingerprint(true), fnv1a64(&m.config_bytes(true)));
+    }
+
+    #[test]
+    fn config_bytes_separate_noise_and_nothing_else() {
+        let m = crate::base_macro().uncalibrated();
+        let noisy = m
+            .clone()
+            .with_noise(NoiseSpec::new().with_cell_variation(0.1));
+        assert_ne!(m.config_bytes(true), noisy.config_bytes(true));
+        assert_eq!(m.config_bytes(false), noisy.config_bytes(false));
+        for other in [
+            m.clone().with_adc_bits(m.adc_bits() + 1),
+            m.clone().with_array(m.rows(), m.cols() * 2),
+            m.clone().with_supply_voltage(0.8),
+            m.clone().with_component_energy("adc", 1.0),
+            m.clone().with_pinned_attr("adc", "x", 1i64),
+            m.clone().with_pinned_attr("adc", "x", 1.0),
+            m.clone()
+                .with_output_combine(OutputCombine::AnalogAccumulator),
+            m.clone().with_node(m.node_nm() + 1.0),
+        ] {
+            assert_ne!(m.config_bytes(false), other.config_bytes(false));
+        }
+    }
 
     #[test]
     fn hierarchy_structure_base() {

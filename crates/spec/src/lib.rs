@@ -74,6 +74,7 @@ pub mod json;
 mod node;
 pub mod reflect;
 pub mod scenario;
+pub mod stable;
 pub mod yamlite;
 
 pub use attr::{AttrValue, Attributes};
